@@ -607,6 +607,9 @@ func (co *Coordinator) InsertBatchContext(ctx context.Context, points [][]float6
 func (co *Coordinator) DeleteContext(ctx context.Context, id int) (bool, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	if co.broken.Load() {
+		return false, errors.New("rknnd: coordinator write path disabled after an assignment mismatch")
+	}
 	m := co.smap.Load()
 	s, l, ok := m.Locate(id)
 	if !ok {
