@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,11 +221,11 @@ type Searcher struct {
 	mu   sync.Mutex // serializes Insert/Delete (writers clone, then swap)
 
 	// compactAt is the delta-overlay size past which a write schedules a
-	// background compaction (0 selects defaultCompactionThreshold);
-	// compacting admits one compactor at a time, and compactions counts the
-	// folds performed over the Searcher's lifetime.
+	// background compaction (0 selects defaultCompactionThreshold); fold is
+	// held by the one compaction folding at a time, and compactions counts
+	// the folds performed over the Searcher's lifetime.
 	compactAt   int
-	compacting  atomic.Bool
+	fold        sync.Mutex
 	compactions atomic.Int64
 
 	// quant records that the quantized pre-filter was requested, so Save
@@ -876,7 +875,7 @@ func (s *Searcher) maybeCompact() {
 	if !ok || ov.Pending() < s.compactThreshold() {
 		return
 	}
-	if !s.compacting.CompareAndSwap(false, true) {
+	if !s.fold.TryLock() {
 		return // a compaction is already folding
 	}
 	go s.compact(ov)
@@ -885,15 +884,15 @@ func (s *Searcher) maybeCompact() {
 // compact folds the frozen overlay's delta into a fresh base clone — the
 // one O(n) step of the write path, performed off the write lock — then
 // rebases the current overlay (which may have accumulated further writes
-// meanwhile) onto the folded index and publishes it. Callers must have won
-// the compacting flag and must not hold s.mu.
+// meanwhile) onto the folded index and publishes it. Callers must hold
+// s.fold, which compact releases, and must not hold s.mu.
 //
 // A compaction has no request context, so when tracing is enabled
 // (EnableTracing) each fold records itself as its own root trace
 // ("compact") in the ring; the fold duration also feeds
 // rknn_compaction_duration_seconds when telemetry is enabled.
 func (s *Searcher) compact(frozen *index.Overlay) {
-	defer s.compacting.Store(false)
+	defer s.fold.Unlock()
 	ring := s.traceRing.Load()
 	var tr *trace.Trace
 	var fsp *trace.Span
@@ -933,21 +932,23 @@ func (s *Searcher) compact(frozen *index.Overlay) {
 	}
 }
 
-// compactNow folds the current delta synchronously, waiting out any
-// background compaction in flight. Used by the persistence paths so
-// snapshots can ship the base back-end's native structure blob. Bounded, so
-// a continuous stream of concurrent writers cannot stall a snapshot
-// forever; snapshotRecord tolerates a residually-dirty overlay.
+// compactNowRounds bounds the folds compactNow performs, so a continuous
+// stream of concurrent writers cannot stall a snapshot forever;
+// snapshotRecord tolerates a residually-dirty overlay.
+const compactNowRounds = 8
+
+// compactNow folds the current delta synchronously, waiting on the fold
+// lock for any background compaction in flight however long it takes.
+// Used by the persistence paths so snapshots can ship the base back-end's
+// native structure blob.
 func (s *Searcher) compactNow() {
-	for attempts := 0; attempts < 64; attempts++ {
+	for round := 0; round < compactNowRounds; round++ {
+		s.fold.Lock()
 		ov, ok := s.snap.Load().ix.(*index.Overlay)
 		if !ok || !ov.Dirty() {
+			s.fold.Unlock()
 			return
 		}
-		if s.compacting.CompareAndSwap(false, true) {
-			s.compact(ov)
-			continue // re-check: writes may have landed since the freeze
-		}
-		runtime.Gosched() // a background fold is in flight; wait it out
+		s.compact(ov) // re-check next round: writes may land during the fold
 	}
 }

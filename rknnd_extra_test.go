@@ -3,6 +3,7 @@ package repro
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/bruteforce"
 	"repro/internal/dataset"
@@ -131,5 +132,46 @@ func TestSampleLiveIDsDistinct(t *testing.T) {
 	}
 	if len(ids) != 8 {
 		t.Errorf("sampled %d ids, want 8 (24 live ids available)", len(ids))
+	}
+}
+
+// TestCompactNowWaitsOutInFlightFold holds the fold lock the way a
+// background compaction does, for far longer than any bounded number of
+// yields, and checks that compactNow neither returns early nor leaves the
+// delta overlay dirty: it waits for the in-flight fold, then folds.
+func TestCompactNowWaitsOutInFlightFold(t *testing.T) {
+	s, err := New(dataset.Sequoia(300, 3).Points, WithScale(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Insert([]float64{0.5, 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if s.MemtableLen() == 0 {
+		t.Fatal("insert left no delta to fold")
+	}
+
+	s.fold.Lock() // a background fold is in flight
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.compactNow()
+	}()
+	select {
+	case <-done:
+		t.Fatal("compactNow returned while a fold was still in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.fold.Unlock() // the in-flight fold finishes
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("compactNow never returned after the in-flight fold finished")
+	}
+	if n := s.MemtableLen(); n != 0 {
+		t.Errorf("compactNow left %d memtable rows", n)
+	}
+	if s.Compactions() != 1 {
+		t.Errorf("compactions = %d, want 1", s.Compactions())
 	}
 }
