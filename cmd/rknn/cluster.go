@@ -26,9 +26,11 @@ import (
 // shard-serve builds ONE hash partition of the dataset and serves it —
 // the same HTTP API as `rknn serve`, plus the binary shard protocol on
 // /v1/binary and the cluster handshake on /v1/shard/info. coordinate
-// fans queries out over the shard daemons with the same scatter-gather
-// merge the in-process sharded engine runs, so the cluster's /v1
-// responses are byte-identical to one process serving the whole dataset.
+// fans queries out over the shard daemons with the same front end and
+// scatter-gather merge the in-process sharded engine runs (reads over the
+// binary protocol, writes over the JSON write routes), so the cluster's
+// /v1 responses are byte-identical to one process serving the whole
+// dataset.
 // Every daemon must be started from the same dataset flags (the scale
 // parameter is estimated over the FULL dataset before partitioning, so
 // independently started daemons agree on it); the coordinator
@@ -171,7 +173,7 @@ func runCoordinate(ctx context.Context, args []string, stdout io.Writer, ready c
 	fs.Var(&specs, "shard", "one shard's replicas as comma-separated host:port (primary first); repeat per shard, in shard order")
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
-		framing  = fs.String("framing", "binary", "shard RPC framing: binary (compact, batched) or json (interoperable)")
+		framing  = fs.String("framing", "binary", "shard read RPC framing: binary, the only framing (writes always travel as JSON)")
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-RPC attempt timeout")
 		retries  = fs.Int("retries", 2, "extra read attempts across healthy replicas")
 		backoff  = fs.Duration("backoff", 25*time.Millisecond, "backoff before the first retry (doubles per attempt)")
@@ -189,20 +191,18 @@ func runCoordinate(ctx context.Context, args []string, stdout io.Writer, ready c
 	if len(specs) == 0 {
 		return errors.New("coordinate: at least one -shard is required")
 	}
-	var coOpts []repro.CoordinatorOption
 	switch *framing {
 	case "binary":
 	case "json":
-		coOpts = append(coOpts, repro.WithJSONFraming())
+		return errors.New("coordinate: the JSON shard framing was removed; shard reads use -framing binary")
 	default:
-		return fmt.Errorf("coordinate: -framing must be binary or json, got %q", *framing)
+		return fmt.Errorf("coordinate: -framing must be binary, got %q", *framing)
 	}
-	coOpts = append(coOpts,
+	co, err := repro.NewCoordinator(ctx, specs,
 		repro.WithRequestTimeout(*timeout),
 		repro.WithRetries(*retries, *backoff),
 		repro.WithHealthInterval(*health),
 	)
-	co, err := repro.NewCoordinator(ctx, specs, coOpts...)
 	if err != nil {
 		return err
 	}

@@ -9,23 +9,21 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
-	"repro/internal/vecmath"
 )
 
-// Coordinator is the networked form of ShardedSearcher: the same
-// scatter-gather algorithm (shard_client.go) running over S `rknn
-// shard-serve` daemons instead of S in-process snapshots. Because the
-// exact-merge proof never mentions where a shard's index lives, a
-// Coordinator over daemons holding the hash partition of a dataset
-// returns byte-identical answers to a ShardedSearcher over the same
-// dataset — the cluster conformance suite in internal/server pins this.
+// Coordinator is the networked form of ShardedSearcher: the same front end
+// (frontEnd, shard.go) and scatter-gather algorithm (shard_client.go)
+// running over S `rknn shard-serve` daemons instead of S in-process
+// snapshots. Because the exact-merge proof never mentions where a shard's
+// index lives, a Coordinator over daemons holding the hash partition of a
+// dataset returns byte-identical answers to a ShardedSearcher over the
+// same dataset — the cluster conformance suite in internal/server pins
+// this. What Coordinator adds is how it reaches shards: the remoteShard
+// clients, the handshake, and the replica health loop.
 //
 // Each shard may be served by several replicas (ShardSpec.Addrs); the
 // first is the primary and takes the writes, the rest are read-only
@@ -36,33 +34,22 @@ import (
 // keeping reads from traveling back in time relative to acknowledged
 // writes.
 //
-// Writes route to the owning shard's primary by replaying the same
-// hash-assignment the in-process engine uses (index.ShardOf over the
-// global assignment counter), then the coordinator verifies the daemon
-// assigned exactly the local ID the shared shard map predicts. A daemon
-// answering out of step means its state has diverged from the cluster's
-// assignment history; the coordinator then refuses further writes rather
-// than scattering queries over a map it knows is wrong.
+// Writes route to the owning shard's primary by the same hash assignment
+// the in-process engine uses, and the front end checks that the daemon
+// assigned exactly the local ID the shard map predicts. A daemon answering
+// out of step means its state has diverged from the cluster's assignment
+// history; the coordinator then refuses further writes rather than
+// scattering queries over a map it knows is wrong. Shard RPCs use the
+// binary framing of internal/wire for reads and JSON for writes.
 //
 // Coordinator implements the server Engine surface, so `rknn coordinate`
 // serves the same /v1 API (and the same response bytes) as a single
 // process serving the whole dataset.
 type Coordinator struct {
-	shards  []*remoteShard
-	cc      *clusterClient
-	metric  Metric
-	dim     int
-	scale   float64
-	backend string
-	approx  bool
-
-	// mu serializes writes: assignment replay depends on the global ID
-	// counter, so writes are ordered here exactly as the in-process engine
-	// orders them under its write lock.
-	mu     sync.Mutex
-	smap   atomic.Pointer[index.ShardMap]
-	live   []atomic.Int64
-	broken atomic.Bool
+	fe     frontEnd
+	shards []*remoteShard
+	cc     *clusterClient
+	approx bool
 
 	reg          *telemetry.Registry
 	healthEvery  time.Duration
@@ -82,21 +69,11 @@ type ShardSpec struct {
 type CoordinatorOption func(*coordConfig)
 
 type coordConfig struct {
-	json        bool
 	timeout     time.Duration
 	retries     int
 	backoff     time.Duration
 	healthEvery time.Duration
 	transport   http.RoundTripper
-}
-
-// WithJSONFraming makes the coordinator speak HTTP/JSON to the shard
-// daemons instead of the compact binary framing (internal/wire). JSON is
-// interoperable with any rknn server but pays one request per candidate
-// point and per verification probe; the binary protocol batches both, so
-// it is the default.
-func WithJSONFraming() CoordinatorOption {
-	return func(c *coordConfig) { c.json = true }
 }
 
 // WithRequestTimeout bounds each individual shard RPC attempt (default
@@ -157,7 +134,6 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 	}
 	cc := &clusterClient{
 		hc:      &http.Client{Transport: cfg.transport},
-		binary:  !cfg.json,
 		timeout: cfg.timeout,
 		retries: cfg.retries,
 		backoff: cfg.backoff,
@@ -165,7 +141,6 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 	co := &Coordinator{
 		cc:          cc,
 		shards:      make([]*remoteShard, len(specs)),
-		live:        make([]atomic.Int64, len(specs)),
 		healthEvery: cfg.healthEvery,
 		stopHealth:  make(chan struct{}),
 		healthDone:  make(chan struct{}),
@@ -220,10 +195,16 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 	if err != nil {
 		return nil, fmt.Errorf("rknnd: %w", err)
 	}
-	co.metric = metric
-	co.dim = ref.Dim
-	co.scale = ref.Scale
-	co.backend = ref.Backend
+	// The daemons decide whether their back-end takes writes; the front
+	// end forwards every write and reports the daemon's refusal.
+	co.fe = frontEnd{
+		set:     co,
+		metric:  metric,
+		dim:     ref.Dim,
+		scale:   ref.Scale,
+		backend: Backend(ref.Backend),
+		dynamic: true,
+	}
 	co.approx = ref.Approximate
 
 	// The shard map is a pure function of (assignment count, shard count),
@@ -238,9 +219,9 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 		if got := m.ShardLen(i); got != info.IDSpan {
 			return nil, fmt.Errorf("rknnd: shard %d reports id span %d, assignment replay predicts %d (partitioning mismatch)", i, info.IDSpan, got)
 		}
-		co.live[i].Store(int64(info.Points))
+		co.shards[i].live.Store(int64(info.Points))
 	}
-	co.smap.Store(m)
+	co.fe.smap.Store(m)
 
 	if co.healthEvery > 0 {
 		co.healthActive = true
@@ -292,20 +273,20 @@ func (co *Coordinator) checkHealth() {
 	ctx, cancel := context.WithTimeout(context.Background(), co.cc.timeout)
 	defer cancel()
 	var wg sync.WaitGroup
-	for i, sh := range co.shards {
+	for _, sh := range co.shards {
 		wg.Add(1)
-		go func(i int, sh *remoteShard) {
+		go func(sh *remoteShard) {
 			defer wg.Done()
 			primaryPts, ok := co.probeReplica(ctx, sh, 0)
 			sh.rs.healthy[0].Store(ok)
 			if ok {
-				co.live[i].Store(int64(primaryPts))
+				sh.live.Store(int64(primaryPts))
 			}
 			for r := 1; r < len(sh.rs.addrs); r++ {
 				pts, up := co.probeReplica(ctx, sh, r)
 				sh.rs.healthy[r].Store(up && (!ok || pts == primaryPts))
 			}
-		}(i, sh)
+		}(sh)
 	}
 	wg.Wait()
 }
@@ -354,41 +335,41 @@ func (co *Coordinator) EnableTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// scatter assembles the per-query scatter set: every shard the
-// coordinator believes holds live points, over the current shard map —
-// the networked analogue of ShardedSearcher.pin (empty shards are skipped
-// there too, which is what keeps the single-populated-shard fast path,
-// and therefore the response bytes, identical).
-func (co *Coordinator) scatter() *scatterSet {
-	m := co.smap.Load()
+// pin implements shardSet: every shard the coordinator believes holds
+// live points — empty shards are skipped in process too, which is what
+// keeps the single-populated-shard fast path, and therefore the response
+// bytes, identical.
+func (co *Coordinator) pin() []shardClient {
 	clients := make([]shardClient, 0, len(co.shards))
-	for i, sh := range co.shards {
-		if co.live[i].Load() == 0 {
-			continue
+	for _, sh := range co.shards {
+		if sh.live.Load() > 0 {
+			clients = append(clients, sh)
 		}
-		clients = append(clients, sh)
 	}
-	return &scatterSet{clients: clients, m: m, metric: co.metric, dim: co.dim}
+	return clients
 }
+
+// writer implements shardSet: writes go to the shard's primary.
+func (co *Coordinator) writer(s int) (shardClient, error) { return co.shards[s], nil }
 
 // Len returns the number of live points across the cluster, from the
 // counts the health loop and the write path maintain.
 func (co *Coordinator) Len() int {
 	n := int64(0)
-	for i := range co.live {
-		n += co.live[i].Load()
+	for _, sh := range co.shards {
+		n += sh.live.Load()
 	}
 	return int(n)
 }
 
 // Dim returns the dimensionality of the indexed points.
-func (co *Coordinator) Dim() int { return co.dim }
+func (co *Coordinator) Dim() int { return co.fe.Dim() }
 
 // Scale returns the scale parameter t in effect on every shard daemon.
-func (co *Coordinator) Scale() float64 { return co.scale }
+func (co *Coordinator) Scale() float64 { return co.fe.Scale() }
 
 // Backend returns the forward-index back-end the shard daemons run.
-func (co *Coordinator) Backend() Backend { return Backend(co.backend) }
+func (co *Coordinator) Backend() Backend { return co.fe.Backend() }
 
 // Approximate reports whether the shard daemons answer approximately
 // (LSH back-end); see Searcher.Approximate.
@@ -401,7 +382,7 @@ func (co *Coordinator) Shards() int { return len(co.shards) }
 func (co *Coordinator) ShardStats() []ShardInfo {
 	out := make([]ShardInfo, len(co.shards))
 	for i, sh := range co.shards {
-		out[i] = ShardInfo{Shard: i, Points: int(co.live[i].Load()), Queries: sh.queries.Load()}
+		out[i] = ShardInfo{Shard: i, Points: int(sh.live.Load()), Queries: sh.queries.Load()}
 	}
 	return out
 }
@@ -409,288 +390,62 @@ func (co *Coordinator) ShardStats() []ShardInfo {
 // ReverseKNN returns the global IDs of the dataset members that have
 // member qid among their k nearest neighbors; see ShardedSearcher.
 func (co *Coordinator) ReverseKNN(qid, k int) ([]int, error) {
-	return co.ReverseKNNContext(context.Background(), qid, k)
+	return co.fe.ReverseKNN(qid, k)
 }
 
 // ReverseKNNContext is ReverseKNN with a context; spans and headers
 // propagate to the shard daemons on every hop.
 func (co *Coordinator) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
-	ids, _, _, err := co.scatter().reverseKNN(ctx, qid, nil, k)
-	return ids, err
+	return co.fe.ReverseKNNContext(ctx, qid, k)
 }
 
 // ReverseKNNStatsContext is ReverseKNNContext with the aggregated
 // per-query work counters (summed across shard daemons).
 func (co *Coordinator) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
-	ids, st, _, err := co.scatter().reverseKNN(ctx, qid, nil, k)
-	return ids, st, err
+	return co.fe.ReverseKNNStatsContext(ctx, qid, k)
 }
 
 // ReverseKNNPointContext answers the query for an arbitrary point.
 func (co *Coordinator) ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error) {
-	ids, _, _, err := co.scatter().reverseKNN(ctx, -1, q, k)
-	return ids, err
+	return co.fe.ReverseKNNPointContext(ctx, q, k)
 }
 
 // ReverseKNNPointStatsContext is ReverseKNNPointContext with counters.
 func (co *Coordinator) ReverseKNNPointStatsContext(ctx context.Context, q []float64, k int) ([]int, Stats, error) {
-	ids, st, _, err := co.scatter().reverseKNN(ctx, -1, q, k)
-	return ids, st, err
+	return co.fe.ReverseKNNPointStatsContext(ctx, q, k)
 }
 
 // BatchReverseKNNContext answers many member queries on a worker pool
-// against one scatter set, mirroring ShardedSearcher's batch semantics
-// (including the error precedence).
+// against one read set, with ShardedSearcher's batch semantics.
 func (co *Coordinator) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
-	sc := co.scatter()
-	out := make([][]int, len(qids))
-	errs := make([]error, len(qids))
-	err := core.ForEach(ctx, len(qids), workers, func(ctx context.Context, i int) error {
-		ids, _, _, err := sc.reverseKNN(ctx, qids[i], nil, k)
-		if err != nil {
-			errs[i] = err
-			return err
-		}
-		out[i] = ids
-		return nil
-	})
-	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		for i, e := range errs {
-			if e != nil && !errors.Is(e, context.Canceled) {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], e)
-			}
-		}
-		for i, e := range errs {
-			if e != nil {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], e)
-			}
-		}
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	return out, nil
+	return co.fe.BatchReverseKNNContext(ctx, qids, k, workers)
 }
 
 // KNNContext returns the k global forward nearest neighbors of an
 // arbitrary point — the per-daemon top-k lists k-way merged.
 func (co *Coordinator) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	ksp := trace.FromContext(ctx).Child("core.knn")
-	if ksp != nil {
-		ksp.SetStr("backend", co.backend)
-		ksp.SetInt("k", int64(k))
-		ctx = trace.With(ctx, ksp)
-		defer ksp.End()
-	}
-	if err := vecmath.ValidateFor(co.metric, q); err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	if len(q) != co.dim {
-		return nil, fmt.Errorf("rknnd: query dimension %d, index dimension %d", len(q), co.dim)
-	}
-	merged, err := co.scatter().knn(ctx, q, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Neighbor, len(merged))
-	for i, nb := range merged {
-		out[i] = Neighbor{ID: nb.ID, Dist: nb.Dist}
-	}
-	return out, nil
+	return co.fe.KNNContext(ctx, q, k)
 }
 
 // InsertContext routes the point to its hash-assigned shard's primary and
-// returns the new global ID. The daemon must assign exactly the local ID
-// the shared assignment replay predicts; a mismatch poisons the write
-// path (the cluster's history has diverged and further writes would
+// returns the new global ID; see ShardedSearcher.Insert. A daemon that
+// assigns a different local ID than the shard map predicts poisons the
+// write path (the cluster's history has diverged and further writes would
 // corrupt the ID space).
 func (co *Coordinator) InsertContext(ctx context.Context, p []float64) (int, error) {
-	if err := vecmath.ValidateFor(co.metric, p); err != nil {
-		return 0, fmt.Errorf("rknnd: %w", err)
-	}
-	if len(p) != co.dim {
-		return 0, fmt.Errorf("rknnd: point dimension %d, index dimension %d", len(p), co.dim)
-	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.broken.Load() {
-		return 0, errors.New("rknnd: coordinator write path disabled after an assignment mismatch")
-	}
-	m := co.smap.Load()
-	g := m.Len()
-	s := index.ShardOf(g, len(co.shards))
-	expectLocal := m.ShardLen(s)
-
-	local, err := co.insertOn(ctx, co.shards[s], p)
-	if err != nil {
-		return 0, err
-	}
-	if local != expectLocal {
-		co.broken.Store(true)
-		return 0, fmt.Errorf("rknnd: shard %d assigned local id %d, assignment replay predicts %d; write path disabled", s, local, expectLocal)
-	}
-	next, err := index.RebuildShardMap(len(co.shards), g+1)
-	if err != nil {
-		return 0, fmt.Errorf("rknnd: %w", err)
-	}
-	co.smap.Store(next)
-	co.live[s].Add(1)
-	co.demoteReplicas(s)
-	return g, nil
+	return co.fe.InsertContext(ctx, p)
 }
 
 // InsertBatchContext ingests many points, each routed to its
-// hash-assigned shard, IDs returned in input order. Atomicity is
-// per-shard (the in-process sharded engine's batch has the same shape).
+// hash-assigned shard, IDs returned in input order; see
+// ShardedSearcher.InsertBatch. A shard whose group fails poisons the write
+// path: a remote write that errored may or may not have landed.
 func (co *Coordinator) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
-	if len(points) == 0 {
-		return nil, errors.New("rknnd: empty batch")
-	}
-	if err := vecmath.ValidateAllFor(co.metric, points); err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	for _, p := range points {
-		if len(p) != co.dim {
-			return nil, fmt.Errorf("rknnd: point dimension %d, index dimension %d", len(p), co.dim)
-		}
-	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.broken.Load() {
-		return nil, errors.New("rknnd: coordinator write path disabled after an assignment mismatch")
-	}
-	m := co.smap.Load()
-	n := m.Len()
-	ids := make([]int, len(points))
-	byShard := make(map[int][]int, len(co.shards)) // shard -> positions, global order
-	for j := range points {
-		g := n + j
-		ids[j] = g
-		s := index.ShardOf(g, len(co.shards))
-		byShard[s] = append(byShard[s], j)
-	}
-	for s := 0; s < len(co.shards); s++ {
-		pos := byShard[s]
-		if len(pos) == 0 {
-			continue
-		}
-		pts := make([][]float64, len(pos))
-		for t, j := range pos {
-			pts[t] = points[j]
-		}
-		expect := m.ShardLen(s)
-		locals, err := co.insertBatchOn(ctx, co.shards[s], pts)
-		if err != nil {
-			co.broken.Store(true)
-			return nil, fmt.Errorf("rknnd: shard %d batch insert failed mid-cluster; write path disabled: %w", s, err)
-		}
-		for t, l := range locals {
-			if l != expect+t {
-				co.broken.Store(true)
-				return nil, fmt.Errorf("rknnd: shard %d assigned local id %d, assignment replay predicts %d; write path disabled", s, l, expect+t)
-			}
-		}
-		co.live[s].Add(int64(len(pos)))
-		co.demoteReplicas(s)
-	}
-	next, err := index.RebuildShardMap(len(co.shards), n+len(points))
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	co.smap.Store(next)
-	return ids, nil
+	return co.fe.InsertBatchContext(ctx, points)
 }
 
 // DeleteContext tombstones a global ID on its shard's primary. Returns
 // false for IDs never assigned or already deleted.
 func (co *Coordinator) DeleteContext(ctx context.Context, id int) (bool, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.broken.Load() {
-		return false, errors.New("rknnd: coordinator write path disabled after an assignment mismatch")
-	}
-	m := co.smap.Load()
-	s, l, ok := m.Locate(id)
-	if !ok {
-		return false, nil
-	}
-	sh := co.shards[s]
-	deleted := false
-	err := sh.call(ctx, true, http.MethodDelete, "/v1/points/"+strconv.Itoa(l), "", nil,
-		func(status int, ctype string, body []byte) error {
-			switch status {
-			case http.StatusOK:
-				deleted = true
-				return nil
-			case http.StatusNotFound:
-				return nil
-			default:
-				return jsonErr(status, ctype, body)
-			}
-		})
-	if err != nil {
-		return false, fmt.Errorf("rknnd: %w", err)
-	}
-	if deleted {
-		co.live[s].Add(-1)
-		co.demoteReplicas(s)
-	}
-	return deleted, nil
-}
-
-// demoteReplicas marks a shard's read-only replicas down after a write to
-// its primary: they are stale until the health loop sees them agree with
-// the primary's live count again. Reads fail over to the primary
-// meanwhile, so acknowledged writes are always visible to later reads.
-func (co *Coordinator) demoteReplicas(s int) {
-	rs := co.shards[s].rs
-	for r := 1; r < len(rs.addrs); r++ {
-		rs.markDown(r)
-	}
-}
-
-func (co *Coordinator) insertOn(ctx context.Context, sh *remoteShard, p []float64) (int, error) {
-	raw, err := json.Marshal(map[string]any{"point": p})
-	if err != nil {
-		return 0, err
-	}
-	var out struct {
-		ID int `json:"id"`
-	}
-	err = sh.call(ctx, true, http.MethodPost, "/v1/points", "application/json", raw,
-		func(status int, ctype string, body []byte) error {
-			if status != http.StatusCreated {
-				return jsonErr(status, ctype, body)
-			}
-			return json.Unmarshal(body, &out)
-		})
-	if err != nil {
-		return 0, fmt.Errorf("rknnd: shard %d: %w", sh.shard, err)
-	}
-	return out.ID, nil
-}
-
-func (co *Coordinator) insertBatchOn(ctx context.Context, sh *remoteShard, pts [][]float64) ([]int, error) {
-	raw, err := json.Marshal(map[string]any{"points": pts})
-	if err != nil {
-		return nil, err
-	}
-	var out struct {
-		IDs []int `json:"ids"`
-	}
-	err = sh.call(ctx, true, http.MethodPost, "/v1/points/batch", "application/json", raw,
-		func(status int, ctype string, body []byte) error {
-			if status != http.StatusCreated {
-				return jsonErr(status, ctype, body)
-			}
-			return json.Unmarshal(body, &out)
-		})
-	if err != nil {
-		return nil, err
-	}
-	if len(out.IDs) != len(pts) {
-		return nil, fmt.Errorf("daemon acknowledged %d of %d points", len(out.IDs), len(pts))
-	}
-	return out.IDs, nil
+	return co.fe.DeleteContext(ctx, id)
 }

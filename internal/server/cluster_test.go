@@ -2,9 +2,8 @@
 // a Coordinator) against the in-process sharded engine. The bar is
 // byte-identity of HTTP response bodies — same answers, same stats, same
 // error strings — across {unsharded, in-process S=1, in-process S=3,
-// networked S=3} and across both shard-RPC framings (binary and JSON),
-// held through interleaved inserts and deletes routed through the
-// coordinator. Plus the distributed-tracing join (coordinator trace IDs
+// networked S=3} over the binary shard-RPC framing, held through
+// interleaved inserts and deletes routed through the coordinator. Plus the distributed-tracing join (coordinator trace IDs
 // resolve on the daemons), replica failover under a mid-stream kill, and
 // the binary endpoint's Content-Type gate.
 package server
@@ -60,7 +59,7 @@ type cluster struct {
 // shard, all replicas of a shard serving the same engine) and fronts them
 // with a Coordinator. Daemon tracing runs at sample 0 so retention of
 // coordinator traces proves upstream-sampling propagation, not local luck.
-func startCluster(t testing.TB, pts [][]float64, S, replicas int, jsonFraming bool, coOpts ...repro.CoordinatorOption) *cluster {
+func startCluster(t testing.TB, pts [][]float64, S, replicas int, coOpts ...repro.CoordinatorOption) *cluster {
 	t.Helper()
 	parts := splitShards(t, pts, S)
 	c := &cluster{daemons: make([][]*httptest.Server, S), engines: make([]*repro.Searcher, S)}
@@ -83,9 +82,6 @@ func startCluster(t testing.TB, pts [][]float64, S, replicas int, jsonFraming bo
 		}
 	}
 	opts := []repro.CoordinatorOption{repro.WithHealthInterval(0)}
-	if jsonFraming {
-		opts = append(opts, repro.WithJSONFraming())
-	}
 	opts = append(opts, coOpts...)
 	co, err := repro.NewCoordinator(context.Background(), specs, opts...)
 	if err != nil {
@@ -151,14 +147,14 @@ func identical(t *testing.T, servers map[string]string, method, path, body strin
 	}
 }
 
-// TestClusterByteIdentity is the tentpole conformance test: for both shard
-// RPC framings, the networked cluster's /v1 responses are byte-identical
+// TestClusterByteIdentity is the tentpole conformance test: over the binary
+// shard RPC framing, the networked cluster's /v1 responses are byte-identical
 // to the in-process sharded engine's at the same shard count — and all
 // shard counts agree on the answer bodies — before and after a write
 // sequence (inserts, a batch, deletes) applied identically through every
 // server's own HTTP API.
 func TestClusterByteIdentity(t *testing.T) {
-	for _, framing := range []string{"binary", "json"} {
+	for _, framing := range []string{"binary"} {
 		t.Run(framing, func(t *testing.T) {
 			pts := indextest.RandPoints(120, 3, 17)
 
@@ -183,8 +179,8 @@ func TestClusterByteIdentity(t *testing.T) {
 			sharded3TS := httptest.NewServer(New(sharded3).Handler())
 			t.Cleanup(sharded3TS.Close)
 
-			cl1 := startCluster(t, pts, 1, 1, framing == "json")
-			cl3 := startCluster(t, pts, 3, 1, framing == "json")
+			cl1 := startCluster(t, pts, 1, 1)
+			cl3 := startCluster(t, pts, 3, 1)
 
 			// Answer bodies must agree everywhere; stats bodies only within a
 			// shard count (work counters sum per shard, so S=1 and S=3
@@ -262,7 +258,7 @@ func TestClusterByteIdentity(t *testing.T) {
 // the propagated traceparent, and honored the propagated X-Request-ID).
 func TestClusterTracePropagation(t *testing.T) {
 	pts := indextest.RandPoints(150, 3, 23)
-	cl := startCluster(t, pts, 3, 1, false)
+	cl := startCluster(t, pts, 3, 1)
 
 	resp, err := http.Post(cl.ts.URL+"/v1/rknn?debug=1", "application/json",
 		strings.NewReader(`{"id":5,"k":8}`))
@@ -345,7 +341,7 @@ func TestClusterTracePropagation(t *testing.T) {
 // loop notices.
 func TestClusterReplicaFailover(t *testing.T) {
 	pts := indextest.RandPoints(140, 3, 31)
-	cl := startCluster(t, pts, 2, 2, false,
+	cl := startCluster(t, pts, 2, 2,
 		repro.WithHealthInterval(25*time.Millisecond),
 		repro.WithRetries(3, 2*time.Millisecond))
 

@@ -404,19 +404,30 @@ func (d *DurableSearcher) Insert(p []float64) (int, error) {
 // reach the in-memory engine directly and silently bypass the write-ahead
 // log. A traced context records the WAL append and fsync as spans.
 func (d *DurableSearcher) InsertContext(ctx context.Context, p []float64) (int, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if err := d.usable(); err != nil {
-		return 0, err
-	}
-	id, err := d.Searcher.InsertContext(ctx, p)
+	id, _, err := d.insert(ctx, p)
 	if err != nil {
 		return 0, err
 	}
-	if err := d.store.AppendCtx(ctx, persist.WALRecord{Op: persist.WALInsert, ID: id, Point: p}); err != nil {
-		return 0, d.disable(err)
-	}
 	return id, nil
+}
+
+// insert is InsertContext reporting whether the in-memory insert took
+// effect: after a log failure the point stays visible, so its ID is
+// returned with the error (a sharded store keeps the global ID).
+func (d *DurableSearcher) insert(ctx context.Context, p []float64) (int, bool, error) {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	if err := d.usable(); err != nil {
+		return 0, false, err
+	}
+	id, err := d.Searcher.InsertContext(ctx, p)
+	if err != nil {
+		return 0, false, err
+	}
+	if err := d.store.AppendCtx(ctx, persist.WALRecord{Op: persist.WALInsert, ID: id, Point: p}); err != nil {
+		return id, true, d.disable(err)
+	}
+	return id, true, nil
 }
 
 // InsertBatch applies a batch of points in one copy-on-write step and logs
@@ -431,23 +442,32 @@ func (d *DurableSearcher) InsertBatch(points [][]float64) ([]int, error) {
 // InsertBatchContext is InsertBatch with a context, shadowing the promoted
 // method for the same WAL-bypass reason as InsertContext.
 func (d *DurableSearcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
+	ids, _, err := d.insertBatch(ctx, points)
+	if err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// insertBatch is InsertBatchContext with insert's applied contract.
+func (d *DurableSearcher) insertBatch(ctx context.Context, points [][]float64) ([]int, bool, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	if err := d.usable(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	ids, err := d.Searcher.InsertBatchContext(ctx, points)
 	if err != nil || len(ids) == 0 {
-		return ids, err
+		return ids, err == nil, err
 	}
 	records := make([]persist.WALRecord, len(ids))
 	for i, id := range ids {
 		records[i] = persist.WALRecord{Op: persist.WALInsert, ID: id, Point: points[i]}
 	}
 	if err := d.store.AppendBatchCtx(ctx, records); err != nil {
-		return nil, d.disable(err)
+		return ids, true, d.disable(err)
 	}
-	return ids, nil
+	return ids, true, nil
 }
 
 // Delete applies and logs a point deletion, with the same error contract

@@ -65,34 +65,19 @@ type shardSlot struct {
 // verification recomputes the global k-NN test exactly, so the answer does
 // not depend on the shard count — the property the metamorphic conformance
 // suite pins (shard_conformance_test.go).
+//
+// The query and write entry points are the shared front end's (frontEnd);
+// ShardedSearcher supplies the in-process shards behind it.
 type ShardedSearcher struct {
-	scale     float64
+	*frontEnd
+
 	plus      bool
 	adaptive  bool
 	margin    float64
-	backend   Backend
-	metric    Metric
-	dim       int
-	dynamic   bool
 	compactAt int // per-shard delta-overlay compaction threshold; 0: default
 	quant     bool
 
 	slots []*shardSlot
-	smap  atomic.Pointer[index.ShardMap]
-	mu    sync.Mutex // serializes Insert/Delete across the map and all shards
-
-	// broken permanently poisons the write path after a half-applied batch
-	// left global IDs in the shard map that no engine ever received (see
-	// InsertBatch). Reads stay correct forever — such IDs answer as
-	// not-found — but further writes to any shard would corrupt the map's
-	// local-ID accounting, so they are all refused. Guarded by mu.
-	broken error
-
-	// tel/shardTel aggregate engine-level and per-shard query metrics when
-	// telemetry is enabled (WithTelemetry / EnableTelemetry); nil when
-	// disabled. Published atomically, like every read-path structure here.
-	tel      atomic.Pointer[engineTelemetry]
-	shardTel atomic.Pointer[[]*shardTelemetry]
 
 	// traceRing/compactHist mirror the Searcher fields. They are kept here
 	// as the source of truth so shard engines created after EnableTracing /
@@ -100,22 +85,6 @@ type ShardedSearcher struct {
 	// inherit them in newShardEngine.
 	traceRing   atomic.Pointer[trace.Ring]
 	compactHist atomic.Pointer[telemetry.Histogram]
-
-	// Mutation hooks, called under mu. The durable wrapper overrides them
-	// to route every applied mutation through a shard's write-ahead log.
-	// insertShard reports applied=true when the in-memory insert took
-	// effect even if the call failed afterwards (a WAL append failure),
-	// in which case the global ID assignment must be kept.
-	insertShard func(ctx context.Context, shard int, eng *Searcher, p []float64) (local int, applied bool, err error)
-	createShard func(ctx context.Context, shard int, p []float64) (*Searcher, error)
-	deleteShard func(ctx context.Context, shard int, eng *Searcher, local int) (bool, error)
-	// Batch variants: one lock acquisition, one overlay clone, and (for the
-	// durable wrapper) one WAL append per shard group instead of per point.
-	// preflightInsert runs before any global ID is assigned so that
-	// unusable shard stores reject the whole batch cleanly.
-	insertShardBatch func(ctx context.Context, shard int, eng *Searcher, pts [][]float64) (locals []int, applied bool, err error)
-	createShardBatch func(ctx context.Context, shard int, pts [][]float64) (*Searcher, error)
-	preflightInsert  func(shards []int) error // nil: no preflight
 }
 
 // NewSharded partitions points across the given number of shards and
@@ -150,20 +119,9 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 		}
 		scale = 0
 	} else if math.IsNaN(scale) {
-		// Estimate over the full dataset through a throwaway scan index —
-		// the estimators are exact-kNN-based, so this yields the same t as
-		// estimating on any back-end over the same points.
-		full, err := harness.BuildBackend(string(BackendScan), points, cfg.metric)
-		if err != nil {
-			return nil, fmt.Errorf("rknnd: %w", err)
-		}
-		scale, err = estimate(cfg.auto, full, points, cfg.metric)
-		if err != nil {
-			return nil, fmt.Errorf("rknnd: estimating scale parameter: %w", err)
-		}
-		scale += cfg.margin
-		if scale < 1 {
-			scale = 1
+		var err error
+		if scale, err = cfg.fullScale(points); err != nil {
+			return nil, err
 		}
 	}
 	if !cfg.adaptive && !(scale > 0) {
@@ -181,17 +139,20 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 	}
 
 	ss := &ShardedSearcher{
-		scale:     scale,
+		frontEnd: &frontEnd{
+			metric:  cfg.metric,
+			dim:     len(points[0]),
+			scale:   scale,
+			backend: cfg.backend,
+		},
 		plus:      !cfg.plain,
 		adaptive:  cfg.adaptive,
 		margin:    cfg.margin,
-		backend:   cfg.backend,
-		metric:    cfg.metric,
-		dim:       len(points[0]),
 		compactAt: cfg.compactAt,
 		quant:     cfg.quant,
 		slots:     make([]*shardSlot, shards),
 	}
+	ss.set = ss
 	for i := range ss.slots {
 		ss.slots[i] = &shardSlot{}
 	}
@@ -214,11 +175,6 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 		ss.slots[s].eng.Store(ss.newShardEngine(ix))
 	}
 	ss.smap.Store(m)
-	ss.insertShard = ss.plainInsert
-	ss.createShard = ss.plainCreate
-	ss.deleteShard = ss.plainDelete
-	ss.insertShardBatch = ss.plainInsertBatch
-	ss.createShardBatch = ss.plainCreateBatch
 	if cfg.reg != nil {
 		ss.EnableTelemetry(cfg.reg)
 	}
@@ -259,21 +215,11 @@ func (ss *ShardedSearcher) newShardEngine(ix index.Index) *Searcher {
 // Shards returns the shard count.
 func (ss *ShardedSearcher) Shards() int { return len(ss.slots) }
 
-// Scale returns the scale parameter t in effect on every shard (0 when
-// adaptive).
-func (ss *ShardedSearcher) Scale() float64 { return ss.scale }
-
-// Backend returns the forward-index back-end of the shards.
-func (ss *ShardedSearcher) Backend() Backend { return ss.backend }
-
 // Approximate reports whether the shards run in the approximate regime
 // (BackendLSH); see Searcher.Approximate. The scatter-gather merge is exact
 // relative to the per-shard candidate sets, so the approximation is exactly
 // the shards' own.
 func (ss *ShardedSearcher) Approximate() bool { return ss.backend == BackendLSH }
-
-// Dim returns the dimensionality of the indexed points.
-func (ss *ShardedSearcher) Dim() int { return ss.dim }
 
 // Len returns the number of live points across all shards.
 func (ss *ShardedSearcher) Len() int {
@@ -370,23 +316,26 @@ func (ss *ShardedSearcher) QuantFilterStats() (admitted, screened int64) {
 	return admitted, screened
 }
 
-// shardView is one shard pinned for the duration of a query: the engine
-// and the immutable snapshot the query will read. Pinning all views up
-// front gives a cross-shard read set that updates cannot perturb
-// mid-query.
-type shardView struct {
-	shard int
-	slot  *shardSlot
-	eng   *Searcher
-	sn    *snapshot
+// buildShardEngine builds a fresh engine holding copies of pts, for a
+// shard that never held a point until now.
+func (ss *ShardedSearcher) buildShardEngine(shard int, pts [][]float64) (*Searcher, error) {
+	cp := make([][]float64, len(pts))
+	for i, p := range pts {
+		cp[i] = vecmath.Clone(p)
+	}
+	ix, err := harness.BuildBackend(string(ss.backend), cp, ss.metric)
+	if err != nil {
+		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
+	}
+	return ss.newShardEngine(ix), nil
 }
 
-// views pins the current snapshot of every non-empty shard. The shard map
-// must be loaded AFTER this (writers publish map entries before engine
-// snapshots), so every local ID any pinned snapshot can return is
-// translatable; see pin.
-func (ss *ShardedSearcher) views() []shardView {
-	vs := make([]shardView, 0, len(ss.slots))
+// pin implements shardSet: the current snapshot of every non-empty shard.
+// The front end loads the shard map AFTER this, and writers publish map
+// entries before engine snapshots, so every local ID a pinned snapshot can
+// return is translatable.
+func (ss *ShardedSearcher) pin() []shardClient {
+	cs := make([]shardClient, 0, len(ss.slots))
 	for i, slot := range ss.slots {
 		eng := slot.eng.Load()
 		if eng == nil {
@@ -396,118 +345,162 @@ func (ss *ShardedSearcher) views() []shardView {
 		if sn.ix.Len() == 0 {
 			continue
 		}
-		vs = append(vs, shardView{shard: i, slot: slot, eng: eng, sn: sn})
+		cs = append(cs, localShard{ss: ss, shard: i, eng: eng, sn: sn})
 	}
-	return vs
+	return cs
 }
 
-// pin captures a consistent read set: shard snapshots first, then the
-// map. Writers publish in the opposite order (map, then snapshot), so the
-// map here covers every ID the snapshots can surface.
-func (ss *ShardedSearcher) pin() ([]shardView, *index.ShardMap) {
-	vs := ss.views()
-	return vs, ss.smap.Load()
+// writer implements shardSet: in-memory shards always accept writes.
+func (ss *ShardedSearcher) writer(s int) (shardClient, error) {
+	return localShard{ss: ss, shard: s, eng: ss.slots[s].eng.Load()}, nil
+}
+
+// shardSet is the transport-specific half of a front end: how it reaches
+// its shards. ShardedSearcher and DurableShardedSearcher implement it over
+// in-process shards, Coordinator over shard daemons.
+type shardSet interface {
+	// pin returns the read set of one query or batch: a client over every
+	// shard that holds live points, each answering from one consistent view.
+	pin() []shardClient
+	// writer returns the client that applies writes to shard s, or an error
+	// when shard s cannot take writes now. The front end asks before it
+	// assigns any global ID, so a refusal leaves no trace.
+	writer(s int) (shardClient, error)
+}
+
+// frontEnd is the one scatter-gather engine behind ShardedSearcher and
+// Coordinator: the RkNN and kNN entry points, the batch pool, query
+// validation, the per-query telemetry and trace spans, and the write path —
+// hash routing (index.ShardOf), shard-map publish and roll-back, the
+// local-ID check, and poisoning. Where the shards live is behind set; what
+// differs per transport lives in the shard clients (shard_client.go).
+type frontEnd struct {
+	set     shardSet
+	metric  Metric
+	dim     int
+	scale   float64
+	backend Backend
+	dynamic bool // the shards accept Insert and Delete
+
+	smap atomic.Pointer[index.ShardMap]
+	mu   sync.Mutex // serializes writes across the map and all shards
+
+	// broken permanently poisons the write path once the shard map and a
+	// shard disagree on local IDs: a batch group no shard applied after
+	// its IDs were published, or a shard acknowledging a write under an
+	// unexpected local ID. Reads stay correct — orphaned IDs answer as
+	// not-found — but further writes would corrupt the map's local-ID
+	// accounting, so they are all refused. Guarded by mu.
+	broken error
+
+	// tel/shardTel aggregate engine-level and per-shard query metrics when
+	// telemetry is enabled; nil when disabled. Published atomically, like
+	// every read-path structure here.
+	tel      atomic.Pointer[engineTelemetry]
+	shardTel atomic.Pointer[[]*shardTelemetry]
+}
+
+// Scale returns the scale parameter t in effect on every shard (0 when
+// adaptive).
+func (e *frontEnd) Scale() float64 { return e.scale }
+
+// Backend returns the forward-index back-end of the shards.
+func (e *frontEnd) Backend() Backend { return e.backend }
+
+// Dim returns the dimensionality of the indexed points.
+func (e *frontEnd) Dim() int { return e.dim }
+
+// scatter pins a read set: shard clients first, then the shard map (see
+// ShardedSearcher.pin for why the order matters), plus the per-shard
+// telemetry hook when enabled.
+func (e *frontEnd) scatter() *scatterSet {
+	clients := e.set.pin()
+	sc := &scatterSet{clients: clients, m: e.smap.Load(), metric: e.metric, dim: e.dim}
+	if p := e.shardTel.Load(); p != nil {
+		sts := *p
+		sc.onStats = func(i int, st core.Stats) { sts[clients[i].Shard()].observe(st) }
+	}
+	return sc
+}
+
+// scatterCtx is scatter under a "facade.pin" span when ctx is traced.
+func (e *frontEnd) scatterCtx(ctx context.Context) *scatterSet {
+	psp := trace.FromContext(ctx).Child("facade.pin")
+	sc := e.scatter()
+	if psp != nil {
+		psp.SetStr("backend", string(e.backend))
+		psp.SetInt("shards_pinned", int64(len(sc.clients)))
+		if e.scale > 0 {
+			psp.SetFloat("scale", e.scale)
+		}
+		psp.End()
+	}
+	return sc
 }
 
 // ReverseKNN returns the global IDs of the dataset members that have
 // member qid among their k nearest neighbors, sorted ascending. The member
 // itself is excluded.
-func (ss *ShardedSearcher) ReverseKNN(qid, k int) ([]int, error) {
-	return ss.ReverseKNNContext(context.Background(), qid, k)
+func (e *frontEnd) ReverseKNN(qid, k int) ([]int, error) {
+	return e.ReverseKNNContext(context.Background(), qid, k)
 }
 
 // ReverseKNNContext is ReverseKNN with a context. When ctx carries a trace
 // span, the scatter records one "shard.scatter" child per shard (each
-// containing that shard's core stage spans) and the cross-shard
-// re-verification a "shard.merge" span; an untraced context costs one nil
-// check per layer.
-func (ss *ShardedSearcher) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
-	views, m := ss.pinCtx(ctx)
-	ids, _, err := ss.reverseKNN(ctx, ss.newScatterSet(views, m), qid, nil, k, opRkNN)
+// containing that shard's core stage spans, or its remote.call hops) and
+// the cross-shard re-verification a "shard.merge" span; an untraced
+// context costs one nil check per layer.
+func (e *frontEnd) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
+	ids, _, err := e.reverseKNN(ctx, e.scatterCtx(ctx), qid, nil, k, opRkNN)
 	return ids, err
 }
 
 // ReverseKNNStats is ReverseKNN with aggregated per-query work counters
 // (summed across shards; Omega is the tightest shard bound).
-func (ss *ShardedSearcher) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
-	return ss.ReverseKNNStatsContext(context.Background(), qid, k)
+func (e *frontEnd) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
+	return e.ReverseKNNStatsContext(context.Background(), qid, k)
 }
 
 // ReverseKNNStatsContext is ReverseKNNStats with a context, traced like
 // ReverseKNNContext.
-func (ss *ShardedSearcher) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
-	views, m := ss.pinCtx(ctx)
-	return ss.reverseKNN(ctx, ss.newScatterSet(views, m), qid, nil, k, opRkNN)
+func (e *frontEnd) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
+	return e.reverseKNN(ctx, e.scatterCtx(ctx), qid, nil, k, opRkNN)
 }
 
 // ReverseKNNPoint answers the query for an arbitrary point, which need not
 // be a dataset member.
-func (ss *ShardedSearcher) ReverseKNNPoint(q []float64, k int) ([]int, error) {
-	return ss.ReverseKNNPointContext(context.Background(), q, k)
+func (e *frontEnd) ReverseKNNPoint(q []float64, k int) ([]int, error) {
+	return e.ReverseKNNPointContext(context.Background(), q, k)
 }
 
 // ReverseKNNPointContext is ReverseKNNPoint with a context, traced like
 // ReverseKNNContext.
-func (ss *ShardedSearcher) ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error) {
-	views, m := ss.pinCtx(ctx)
-	ids, _, err := ss.reverseKNN(ctx, ss.newScatterSet(views, m), -1, q, k, opRkNNPoint)
+func (e *frontEnd) ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error) {
+	ids, _, err := e.reverseKNN(ctx, e.scatterCtx(ctx), -1, q, k, opRkNNPoint)
 	return ids, err
 }
 
 // ReverseKNNPointStats is ReverseKNNPoint with the aggregated counters.
-func (ss *ShardedSearcher) ReverseKNNPointStats(q []float64, k int) ([]int, Stats, error) {
-	return ss.ReverseKNNPointStatsContext(context.Background(), q, k)
+func (e *frontEnd) ReverseKNNPointStats(q []float64, k int) ([]int, Stats, error) {
+	return e.ReverseKNNPointStatsContext(context.Background(), q, k)
 }
 
 // ReverseKNNPointStatsContext is ReverseKNNPointStats with a context,
 // traced like ReverseKNNContext.
-func (ss *ShardedSearcher) ReverseKNNPointStatsContext(ctx context.Context, q []float64, k int) ([]int, Stats, error) {
-	views, m := ss.pinCtx(ctx)
-	return ss.reverseKNN(ctx, ss.newScatterSet(views, m), -1, q, k, opRkNNPoint)
-}
-
-// pinCtx is pin under a "facade.pin" span when ctx is traced.
-func (ss *ShardedSearcher) pinCtx(ctx context.Context) ([]shardView, *index.ShardMap) {
-	psp := trace.FromContext(ctx).Child("facade.pin")
-	views, m := ss.pin()
-	if psp != nil {
-		psp.SetStr("backend", string(ss.backend))
-		psp.SetInt("shards_pinned", int64(len(views)))
-		if ss.scale > 0 {
-			psp.SetFloat("scale", ss.scale)
-		}
-		psp.End()
-	}
-	return views, m
-}
-
-// newScatterSet wraps a pinned read set in the transport-independent
-// scatter-gather layer: one localShard client per pinned view, plus the
-// per-shard telemetry hook when enabled. The same scatterSet algorithm
-// runs over remote clients in the Coordinator (shard_client.go).
-func (ss *ShardedSearcher) newScatterSet(views []shardView, m *index.ShardMap) *scatterSet {
-	clients := make([]shardClient, len(views))
-	for i := range views {
-		clients[i] = localShard{views[i]}
-	}
-	sc := &scatterSet{clients: clients, m: m, metric: ss.metric, dim: ss.dim}
-	if p := ss.shardTel.Load(); p != nil {
-		sts := *p
-		sc.onStats = func(i int, st core.Stats) { sts[views[i].shard].observe(st) }
-	}
-	return sc
+func (e *frontEnd) ReverseKNNPointStatsContext(ctx context.Context, q []float64, k int) ([]int, Stats, error) {
+	return e.reverseKNN(ctx, e.scatterCtx(ctx), -1, q, k, opRkNNPoint)
 }
 
 // reverseKNN is the scatter-gather RkNN query over a pinned read set —
-// the generic algorithm of scatterSet.reverseKNN plus this engine's
-// telemetry. qid >= 0 anchors the query at a member (q is then looked
-// up); qid < 0 queries the arbitrary point q. op labels the query in the
-// engine telemetry (batch members record per query here, unlike the
-// unsharded batch, whose pool hides per-member timing; they also leave
-// the latency histogram and the workload sketch to the batch call itself,
-// matching the unsharded engine's semantics).
-func (ss *ShardedSearcher) reverseKNN(ctx context.Context, sc *scatterSet, qid int, q []float64, k int, op string) ([]int, Stats, error) {
-	tel := ss.tel.Load()
+// the generic algorithm of scatterSet.reverseKNN plus the telemetry. qid
+// >= 0 anchors the query at a member (q is then looked up); qid < 0
+// queries the arbitrary point q. op labels the query in the engine
+// telemetry (batch members record per query here, unlike the unsharded
+// batch, whose pool hides per-member timing; they also leave the latency
+// histogram and the workload sketch to the batch call itself, matching the
+// unsharded engine's semantics).
+func (e *frontEnd) reverseKNN(ctx context.Context, sc *scatterSet, qid int, q []float64, k int, op string) ([]int, Stats, error) {
+	tel := e.tel.Load()
 	var begin time.Time
 	if tel != nil {
 		begin = time.Now()
@@ -534,42 +527,49 @@ func (ss *ShardedSearcher) reverseKNN(ctx context.Context, sc *scatterSet, qid i
 	return ids, st, nil
 }
 
-// wrapShardErr prefixes shard-level errors with the facade's rknnd tag
-// unless they already carry it.
+// wrapShardErr prefixes shard-level errors with the facade's rknnd tag.
 func wrapShardErr(err error) error {
 	return fmt.Errorf("rknnd: %w", err)
+}
+
+// checkPoint validates a query or insert point against the metric and the
+// index dimension.
+func (e *frontEnd) checkPoint(p []float64, what string) error {
+	if err := vecmath.ValidateFor(e.metric, p); err != nil {
+		return fmt.Errorf("rknnd: %w", err)
+	}
+	if len(p) != e.dim {
+		return fmt.Errorf("rknnd: %s dimension %d, index dimension %d", what, len(p), e.dim)
+	}
+	return nil
 }
 
 // KNN returns the k global forward nearest neighbors of an arbitrary point
 // in ascending (distance, ID) order — the per-shard top-k lists k-way
 // merged.
-func (ss *ShardedSearcher) KNN(q []float64, k int) ([]Neighbor, error) {
-	return ss.KNNContext(context.Background(), q, k)
+func (e *frontEnd) KNN(q []float64, k int) ([]Neighbor, error) {
+	return e.KNNContext(context.Background(), q, k)
 }
 
 // KNNContext is KNN with a context; a traced context records one
 // "core.knn" root stage with per-shard "shard.scatter" children.
-func (ss *ShardedSearcher) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	tel := ss.tel.Load()
+func (e *frontEnd) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
+	tel := e.tel.Load()
 	var begin time.Time
 	if tel != nil {
 		begin = time.Now()
 	}
 	ksp := trace.FromContext(ctx).Child("core.knn")
 	if ksp != nil {
-		ksp.SetStr("backend", string(ss.backend))
+		ksp.SetStr("backend", string(e.backend))
 		ksp.SetInt("k", int64(k))
 		ctx = trace.With(ctx, ksp)
 		defer ksp.End()
 	}
-	if err := vecmath.ValidateFor(ss.metric, q); err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
+	if err := e.checkPoint(q, "query"); err != nil {
+		return nil, err
 	}
-	if len(q) != ss.dim {
-		return nil, fmt.Errorf("rknnd: query dimension %d, index dimension %d", len(q), ss.dim)
-	}
-	views, m := ss.pin()
-	merged, err := ss.newScatterSet(views, m).knn(ctx, q, k)
+	merged, err := e.scatter().knn(ctx, q, k)
 	if err != nil {
 		return nil, err
 	}
@@ -587,27 +587,26 @@ func (ss *ShardedSearcher) KNNContext(ctx context.Context, q []float64, k int) (
 // pool (0 workers selects all cores; the pool is capped at the batch
 // length and at GOMAXPROCS) and returns the per-query ID lists in input
 // order. The first per-query error aborts the batch.
-func (ss *ShardedSearcher) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) {
-	return ss.BatchReverseKNNContext(context.Background(), qids, k, workers)
+func (e *frontEnd) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) {
+	return e.BatchReverseKNNContext(context.Background(), qids, k, workers)
 }
 
 // BatchReverseKNNContext is BatchReverseKNN with cancellation. The whole
-// batch runs against one pinned set of shard snapshots, so its results are
+// batch runs against one pinned read set, so in-process results are
 // mutually consistent even while Insert/Delete run concurrently. The pool
 // scaffolding is core.ForEach — the same clamps and cancellation contract
 // as the single-engine batch.
-func (ss *ShardedSearcher) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
-	tel := ss.tel.Load()
+func (e *frontEnd) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
+	tel := e.tel.Load()
 	var begin time.Time
 	if tel != nil {
 		begin = time.Now()
 	}
-	views, m := ss.pin()
-	sc := ss.newScatterSet(views, m)
+	sc := e.scatter()
 	out := make([][]int, len(qids))
 	errs := make([]error, len(qids))
 	err := core.ForEach(ctx, len(qids), workers, func(ctx context.Context, i int) error {
-		ids, _, err := ss.reverseKNN(ctx, sc, qids[i], nil, k, opBatch)
+		ids, _, err := e.reverseKNN(ctx, sc, qids[i], nil, k, opBatch)
 		if err != nil {
 			errs[i] = err
 			return err
@@ -619,14 +618,14 @@ func (ss *ShardedSearcher) BatchReverseKNNContext(ctx context.Context, qids []in
 		if ctx != nil && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		for i, e := range errs {
-			if e != nil && !errors.Is(e, context.Canceled) {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], e)
+		for i, qerr := range errs {
+			if qerr != nil && !errors.Is(qerr, context.Canceled) {
+				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], qerr)
 			}
 		}
-		for i, e := range errs {
-			if e != nil {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], e)
+		for i, qerr := range errs {
+			if qerr != nil {
+				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], qerr)
 			}
 		}
 		return nil, fmt.Errorf("rknnd: %w", err) // invalid arguments (negative workers)
@@ -639,192 +638,164 @@ func (ss *ShardedSearcher) BatchReverseKNNContext(ctx context.Context, qids []in
 	return out, nil
 }
 
+// applySpan opens the "facade.apply" span of a write when ctx is traced,
+// returning the context the write runs under (shard spans — WAL appends,
+// remote calls — nest beneath it).
+func applySpan(ctx context.Context, op string) (context.Context, *trace.Span) {
+	asp := trace.FromContext(ctx).Child("facade.apply")
+	if asp != nil {
+		asp.SetStr("op", op)
+		ctx = trace.With(ctx, asp)
+	}
+	return ctx, asp
+}
+
+// writable reports why the write path refuses a mutation, if it does.
+// Callers hold mu.
+func (e *frontEnd) writable(op string) error {
+	if !e.dynamic {
+		return errors.New("rknnd: back-end does not support " + op)
+	}
+	return e.broken
+}
+
+// poison disables the write path for good; callers hold mu.
+func (e *frontEnd) poison(format string, args ...any) error {
+	e.broken = fmt.Errorf("rknnd: writes disabled: "+format, args...)
+	return e.broken
+}
+
 // Insert adds a point to its hash-assigned shard and returns its new
 // global ID. Requires a dynamic back-end (BackendCoverTree, BackendScan,
-// BackendLSH). The shard map is published before the shard snapshot, so a
+// BackendLSH). The shard map is published before the shard write, so a
 // concurrent query either sees neither or can translate everything it sees
 // (an ID caught in that window answers as not-found until the insert
 // completes).
-func (ss *ShardedSearcher) Insert(p []float64) (int, error) {
-	return ss.InsertContext(context.Background(), p)
+func (e *frontEnd) Insert(p []float64) (int, error) {
+	return e.InsertContext(context.Background(), p)
 }
 
 // InsertContext is Insert with a context; a traced context records a
 // "facade.apply" span covering the lock, shard-map clone, and shard
-// mutation (WAL spans nest beneath it on a durable engine).
-func (ss *ShardedSearcher) InsertContext(ctx context.Context, p []float64) (int, error) {
-	tel := ss.tel.Load()
+// mutation.
+func (e *frontEnd) InsertContext(ctx context.Context, p []float64) (int, error) {
+	tel := e.tel.Load()
 	var begin time.Time
 	if tel != nil {
 		begin = time.Now()
 	}
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	if asp != nil {
-		asp.SetStr("op", "insert")
-		ctx = trace.With(ctx, asp)
-		defer asp.End()
-	}
-	g, err := ss.applyInsert(ctx, p)
+	ctx, asp := applySpan(ctx, "insert")
+	defer asp.End()
+	g, err := e.insert(ctx, p)
 	if tel != nil && err == nil {
 		tel.observeOp(opInsert, 1, begin)
 	}
 	return g, err
 }
 
-func (ss *ShardedSearcher) applyInsert(ctx context.Context, p []float64) (int, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if !ss.dynamic {
-		return 0, errors.New("rknnd: back-end does not support insertion")
+func (e *frontEnd) insert(ctx context.Context, p []float64) (int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.writable("insertion"); err != nil {
+		return 0, err
 	}
-	if ss.broken != nil {
-		return 0, ss.broken
+	if err := e.checkPoint(p, "point"); err != nil {
+		return 0, err
 	}
-	if err := vecmath.ValidateFor(ss.metric, p); err != nil {
-		return 0, fmt.Errorf("rknnd: %w", err)
+	m := e.smap.Load()
+	w, err := e.set.writer(index.ShardOf(m.Len(), m.Shards()))
+	if err != nil {
+		return 0, err
 	}
-	if len(p) != ss.dim {
-		return 0, fmt.Errorf("rknnd: point dimension %d, index dimension %d", len(p), ss.dim)
-	}
-	m := ss.smap.Load()
 	m2 := m.Clone()
 	g, s, l := m2.Assign()
-	ss.smap.Store(m2)
-
-	eng := ss.slots[s].eng.Load()
-	if eng == nil {
-		neweng, err := ss.createShard(ctx, s, p)
-		if err != nil {
-			ss.smap.Store(m) // the assignment never took effect
-			return 0, err
-		}
-		ss.slots[s].eng.Store(neweng)
-		return g, nil
-	}
-	local, applied, err := ss.insertShard(ctx, s, eng, p)
+	e.smap.Store(m2)
+	local, applied, err := w.Insert(ctx, p)
 	if !applied {
-		ss.smap.Store(m)
+		e.smap.Store(m) // the assignment never took effect
 		return 0, err
 	}
 	if local != l {
-		// The shard engine and the map disagree on the local ID — a broken
-		// invariant that would silently corrupt every future translation.
-		panic(fmt.Sprintf("rknnd: shard %d assigned local id %d, shard map expected %d", s, local, l))
+		e.smap.Store(m)
+		return 0, e.poison("shard %d assigned local id %d, shard map expected %d", s, local, l)
 	}
-	if err != nil {
-		// Applied in memory but not durably logged (WAL failure): the map
-		// entry must stay, matching the visible in-memory state.
-		return g, err
-	}
-	return g, nil
+	// A non-nil err here was applied but not durably logged: the map entry
+	// stays, matching the visible in-memory state.
+	return g, err
 }
 
 // Delete removes the dataset member with the given global ID, reporting
 // whether it was present. Requires a dynamic back-end. The shard map keeps
 // the ID forever (tombstones live in the shard index), so global IDs are
 // never reused.
-func (ss *ShardedSearcher) Delete(global int) (bool, error) {
-	return ss.DeleteContext(context.Background(), global)
+func (e *frontEnd) Delete(global int) (bool, error) {
+	return e.DeleteContext(context.Background(), global)
 }
 
 // DeleteContext is Delete with a context, traced like InsertContext.
-func (ss *ShardedSearcher) DeleteContext(ctx context.Context, global int) (bool, error) {
-	tel := ss.tel.Load()
+func (e *frontEnd) DeleteContext(ctx context.Context, global int) (bool, error) {
+	tel := e.tel.Load()
 	var begin time.Time
 	if tel != nil {
 		begin = time.Now()
 	}
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	if asp != nil {
-		asp.SetStr("op", "delete")
-		ctx = trace.With(ctx, asp)
-		defer asp.End()
-	}
-	applied, err := ss.applyDelete(ctx, global)
+	ctx, asp := applySpan(ctx, "delete")
+	defer asp.End()
+	applied, err := e.delete(ctx, global)
 	if tel != nil && applied && err == nil {
 		tel.observeOp(opDelete, 1, begin)
 	}
 	return applied, err
 }
 
-func (ss *ShardedSearcher) applyDelete(ctx context.Context, global int) (bool, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if !ss.dynamic {
-		return false, errors.New("rknnd: back-end does not support deletion")
+func (e *frontEnd) delete(ctx context.Context, global int) (bool, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.writable("deletion"); err != nil {
+		return false, err
 	}
-	if ss.broken != nil {
-		return false, ss.broken
-	}
-	m := ss.smap.Load()
-	s, l, ok := m.Locate(global)
+	s, l, ok := e.smap.Load().Locate(global)
 	if !ok {
 		return false, nil
 	}
-	eng := ss.slots[s].eng.Load()
-	if eng == nil {
-		return false, nil
-	}
-	return ss.deleteShard(ctx, s, eng, l)
-}
-
-// plainInsert routes an applied mutation to an in-memory shard engine.
-func (ss *ShardedSearcher) plainInsert(ctx context.Context, shard int, eng *Searcher, p []float64) (int, bool, error) {
-	id, err := eng.InsertContext(ctx, p)
+	w, err := e.set.writer(s)
 	if err != nil {
-		return 0, false, err
+		return false, err
 	}
-	return id, true, nil
-}
-
-// plainCreate builds a fresh single-point shard engine for a shard that
-// was empty until now.
-func (ss *ShardedSearcher) plainCreate(_ context.Context, shard int, p []float64) (*Searcher, error) {
-	ix, err := harness.BuildBackend(string(ss.backend), [][]float64{vecmath.Clone(p)}, ss.metric)
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
-	}
-	return ss.newShardEngine(ix), nil
-}
-
-// plainDelete routes a deletion to an in-memory shard engine.
-func (ss *ShardedSearcher) plainDelete(ctx context.Context, shard int, eng *Searcher, local int) (bool, error) {
-	return eng.DeleteContext(ctx, local)
+	return w.Delete(ctx, l)
 }
 
 // InsertBatch adds many points in one write step: one shard-map clone, one
-// lock acquisition, and per involved shard one overlay clone (and, on a
-// durable engine, one WAL append with at most one fsync) for the whole
-// batch. IDs are returned in input order. The batch is atomic in the common
-// case; a failure applying one shard's group after the map is published (a
-// disk fault mid-batch) leaves the other groups visible, returns the IDs
-// with the error, and — when a group could not be applied in memory at all
-// — permanently poisons the write path rather than let the shard map's
-// local-ID accounting diverge from the engines (reads stay correct; the
-// orphaned IDs answer as not-found).
-func (ss *ShardedSearcher) InsertBatch(points [][]float64) ([]int, error) {
-	return ss.InsertBatchContext(context.Background(), points)
+// lock acquisition, and one write per involved shard (in process: one
+// overlay clone and, on a durable engine, one WAL append with at most one
+// fsync). IDs are returned in input order. The batch is atomic in the
+// common case; a failure applying one shard's group after the map is
+// published (a disk fault or a failed daemon mid-batch) leaves the other
+// groups visible, returns the IDs with the error, and — when the group was
+// not applied — permanently poisons the write path rather than let the
+// shard map's local-ID accounting diverge from the shards (reads stay
+// correct; the orphaned IDs answer as not-found).
+func (e *frontEnd) InsertBatch(points [][]float64) ([]int, error) {
+	return e.InsertBatchContext(context.Background(), points)
 }
 
 // InsertBatchContext is InsertBatch with a context, traced like
 // InsertContext with the batch size attached.
-func (ss *ShardedSearcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
+func (e *frontEnd) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
 	if len(points) == 0 {
 		return nil, nil
 	}
-	tel := ss.tel.Load()
+	tel := e.tel.Load()
 	var begin time.Time
 	if tel != nil {
 		begin = time.Now()
 	}
-	asp := trace.FromContext(ctx).Child("facade.apply")
+	ctx, asp := applySpan(ctx, "insert_batch")
 	if asp != nil {
-		asp.SetStr("op", "insert_batch")
 		asp.SetInt("points", int64(len(points)))
-		ctx = trace.With(ctx, asp)
-		defer asp.End()
 	}
-	ids, err := ss.applyInsertBatch(ctx, points)
+	defer asp.End()
+	ids, err := e.insertBatch(ctx, points)
 	if tel != nil && err == nil {
 		tel.countQueries(opInsert, len(ids))
 		tel.observeLatency(opInsert, begin)
@@ -832,39 +803,38 @@ func (ss *ShardedSearcher) InsertBatchContext(ctx context.Context, points [][]fl
 	return ids, err
 }
 
-func (ss *ShardedSearcher) applyInsertBatch(ctx context.Context, points [][]float64) ([]int, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if !ss.dynamic {
-		return nil, errors.New("rknnd: back-end does not support insertion")
-	}
-	if ss.broken != nil {
-		return nil, ss.broken
+func (e *frontEnd) insertBatch(ctx context.Context, points [][]float64) ([]int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.writable("insertion"); err != nil {
+		return nil, err
 	}
 	for i, p := range points {
-		if err := vecmath.ValidateFor(ss.metric, p); err != nil {
+		if err := vecmath.ValidateFor(e.metric, p); err != nil {
 			return nil, fmt.Errorf("rknnd: batch point %d: %w", i, err)
 		}
-		if len(p) != ss.dim {
-			return nil, fmt.Errorf("rknnd: batch point %d: dimension %d, index dimension %d", i, len(p), ss.dim)
+		if len(p) != e.dim {
+			return nil, fmt.Errorf("rknnd: batch point %d: dimension %d, index dimension %d", i, len(p), e.dim)
 		}
 	}
 	// The shard of every batch member is a pure function of the current
-	// global count, so the involved shards are known — and preflighted —
-	// before any ID is assigned.
-	m := ss.smap.Load()
-	members := make(map[int][]int, len(ss.slots)) // shard -> batch indexes, in order
+	// global count, so the involved shards are known — and asked for
+	// writers — before any ID is assigned.
+	m := e.smap.Load()
+	S := m.Shards()
+	groups := make([][]int, S) // shard -> batch indexes, in order
 	for i := range points {
-		s := index.ShardOf(m.Len()+i, ss.Shards())
-		members[s] = append(members[s], i)
+		s := index.ShardOf(m.Len()+i, S)
+		groups[s] = append(groups[s], i)
 	}
-	if ss.preflightInsert != nil {
-		shards := make([]int, 0, len(members))
-		for s := range members {
-			shards = append(shards, s)
-		}
-		if err := ss.preflightInsert(shards); err != nil {
-			return nil, err
+	writers := make([]shardClient, S)
+	for s, idx := range groups {
+		if len(idx) > 0 {
+			w, err := e.set.writer(s)
+			if err != nil {
+				return nil, err
+			}
+			writers[s] = w
 		}
 	}
 
@@ -872,28 +842,12 @@ func (ss *ShardedSearcher) applyInsertBatch(ctx context.Context, points [][]floa
 	ids := make([]int, len(points))
 	locals := make([]int, len(points))
 	for i := range points {
-		g, s, l := m2.Assign()
-		if s != index.ShardOf(g, ss.Shards()) {
-			panic(fmt.Sprintf("rknnd: shard map assigned id %d to shard %d, hash expected %d", g, s, index.ShardOf(g, ss.Shards())))
-		}
-		ids[i], locals[i] = g, l
+		ids[i], _, locals[i] = m2.Assign()
 	}
-	ss.smap.Store(m2)
+	e.smap.Store(m2)
 
 	var firstErr error
-	fail := func(shard int, err error, applied bool) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("rknnd: batch shard %d: %w", shard, err)
-		}
-		if !applied {
-			// The map now names IDs no engine holds; a later insert to this
-			// shard would receive a local ID the map has already spent.
-			// Refuse all future writes instead of corrupting translations.
-			ss.broken = fmt.Errorf("rknnd: writes disabled: batch left shard %d inconsistent: %w", shard, err)
-		}
-	}
-	for shard := 0; shard < len(ss.slots); shard++ {
-		idx := members[shard]
+	for s, idx := range groups {
 		if len(idx) == 0 {
 			continue
 		}
@@ -901,56 +855,35 @@ func (ss *ShardedSearcher) applyInsertBatch(ctx context.Context, points [][]floa
 		for j, i := range idx {
 			pts[j] = points[i]
 		}
-		eng := ss.slots[shard].eng.Load()
-		if eng == nil {
-			neweng, err := ss.createShardBatch(ctx, shard, pts)
-			if err != nil {
-				fail(shard, err, false)
-				continue
-			}
-			ss.slots[shard].eng.Store(neweng)
-			continue
+		got, applied, err := writers[s].InsertBatch(ctx, pts)
+		switch {
+		case !applied:
+			// The map now names IDs no shard holds; a later insert to this
+			// shard would receive a local ID the map has already spent.
+			e.poison("batch left shard %d inconsistent: %w", s, err)
+			err = fmt.Errorf("rknnd: batch shard %d: %w", s, err)
+		case !sameLocals(got, idx, locals):
+			err = e.poison("shard %d assigned local ids %v, shard map expected %d onwards", s, got, locals[idx[0]])
+		case err != nil:
+			err = fmt.Errorf("rknnd: batch shard %d: %w", s, err) // applied but not durably logged
 		}
-		got, applied, err := ss.insertShardBatch(ctx, shard, eng, pts)
-		if !applied {
-			fail(shard, err, false)
-			continue
-		}
-		for j, i := range idx {
-			if got[j] != locals[i] {
-				panic(fmt.Sprintf("rknnd: shard %d assigned local id %d, shard map expected %d", shard, got[j], locals[i]))
-			}
-		}
-		if err != nil {
-			fail(shard, err, true) // applied but not durably logged
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
-	if firstErr != nil {
-		return ids, firstErr
-	}
-	return ids, nil
+	return ids, firstErr
 }
 
-// plainInsertBatch routes a batch to an in-memory shard engine: one overlay
-// clone for the whole group.
-func (ss *ShardedSearcher) plainInsertBatch(ctx context.Context, shard int, eng *Searcher, pts [][]float64) ([]int, bool, error) {
-	ids, err := eng.InsertBatchContext(ctx, pts)
-	if err != nil {
-		return nil, false, err
+// sameLocals reports whether a shard acknowledged a batch group under
+// exactly the local IDs the shard map assigned it.
+func sameLocals(got, idx, locals []int) bool {
+	if len(got) != len(idx) {
+		return false
 	}
-	return ids, true, nil
-}
-
-// plainCreateBatch builds a fresh shard engine for a shard that was empty
-// until now, holding the whole group.
-func (ss *ShardedSearcher) plainCreateBatch(_ context.Context, shard int, pts [][]float64) (*Searcher, error) {
-	cp := make([][]float64, len(pts))
-	for i, p := range pts {
-		cp[i] = vecmath.Clone(p)
+	for j, i := range idx {
+		if got[j] != locals[i] {
+			return false
+		}
 	}
-	ix, err := harness.BuildBackend(string(ss.backend), cp, ss.metric)
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
-	}
-	return ss.newShardEngine(ix), nil
+	return true
 }

@@ -11,20 +11,30 @@ import (
 	"repro/internal/vecmath"
 )
 
-// This file makes "a shard" an interface instead of a struct: the
-// scatter-gather algorithm of shard.go talks to shardClient, and the two
-// implementations — localShard over a pinned in-process snapshot (below)
-// and remoteShard over HTTP (shard_remote.go) — answer the same four
-// calls. The exact-merge argument in shard.go never mentions where a
-// shard's index lives, so the algorithm is written once here and a
-// Coordinator over networked daemons returns byte-identical answers to a
-// ShardedSearcher over goroutines (cluster conformance suite,
+// This file makes "a shard" an interface instead of a struct: the one
+// scatter-gather front end of shard.go (frontEnd, behind both
+// ShardedSearcher and Coordinator) talks to shardClient, and the
+// implementations — localShard over an in-process shard (below),
+// durableShard over its write-ahead-logged store (shard_persist.go) and
+// remoteShard over HTTP (shard_remote.go) — answer the same calls. The
+// exact-merge argument in shard.go never mentions where a shard's index
+// lives, so the algorithm is written once here and a Coordinator over
+// networked daemons returns byte-identical answers to a ShardedSearcher
+// over goroutines (cluster conformance suite,
 // internal/server/cluster_test.go).
 //
-// All IDs crossing the interface are shard-local; the scatterSet owns the
+// All IDs crossing the interface are shard-local; the front end owns the
 // ShardMap and is the only layer that translates. Verification is batched
 // per shard (Points and KNNBatch take slices) so a remote shard costs a
 // constant number of round trips per query, not one per candidate.
+//
+// The write calls report shard-local IDs and whether the mutation was
+// applied; the front end checks the IDs against the map and decides what
+// a failure means. What differs per transport lives in the clients: an
+// in-process write that fails is never applied, a durable write can be
+// applied yet fail to log (the map entry then stays), and a remote write
+// that fails counts as not applied, is never retried, and on success
+// demotes the shard's read replicas until they catch up.
 
 // knnProbe is one forward-kNN probe of the verification stage: the probe
 // point, the rank, and the local member ID to exclude (-1 for none). The
@@ -36,14 +46,16 @@ type knnProbe struct {
 	skip int
 }
 
-// shardClient is one shard of a scatter set. Implementations answer
-// against a single consistent view of their shard: localShard pins one
-// snapshot for the lifetime of the scatter set; a remote daemon answers
-// each call from one snapshot (per-call consistency — see DESIGN.md,
-// "Distributed serving", for what that weakens under concurrent writes).
+// shardClient is one shard of a front end. Read calls answer against a
+// single consistent view of their shard: localShard pins one snapshot for
+// the lifetime of the scatter set; a remote daemon answers each call from
+// one snapshot (per-call consistency — see DESIGN.md, "Distributed
+// serving", for what that weakens under concurrent writes). Write calls
+// run under the front end's write lock and apply to the shard's current
+// state.
 type shardClient interface {
 	// Shard is this client's shard number in the coordinate system of the
-	// scatter set's ShardMap.
+	// front end's ShardMap.
 	Shard() int
 	// CountQuery records one scatter visit in the shard's traffic counter.
 	CountQuery()
@@ -58,6 +70,14 @@ type shardClient interface {
 	// KNNBatch answers forward-kNN probes (local result IDs), all against
 	// one consistent view of the shard.
 	KNNBatch(ctx context.Context, probes []knnProbe) ([][]index.Neighbor, error)
+	// Insert adds one point and returns its local ID. applied reports that
+	// the shard holds the point even when err is set.
+	Insert(ctx context.Context, p []float64) (local int, applied bool, err error)
+	// InsertBatch adds a group of points in one step and returns their
+	// local IDs in input order, with Insert's applied contract.
+	InsertBatch(ctx context.Context, pts [][]float64) (locals []int, applied bool, err error)
+	// Delete tombstones a local ID, reporting whether it was live.
+	Delete(ctx context.Context, local int) (bool, error)
 }
 
 // livePoint fetches local ID l from a pinned index view, or nil when the
@@ -77,18 +97,23 @@ func livePoint(ix index.Index, l int) []float64 {
 	return ix.Point(l)
 }
 
-// localShard adapts one pinned shard view to shardClient — the in-process
-// implementation, and the zero-overhead baseline: every method body is
-// what shard.go inlined before the interface existed.
+// localShard is one shard of a ShardedSearcher. A read client pins the
+// shard's engine and snapshot when the read set is taken; a write client
+// (ShardedSearcher.writer) carries the engine current under the write
+// lock, nil while the shard has never held a point, and applies writes to
+// it directly.
 type localShard struct {
-	v shardView
+	ss    *ShardedSearcher
+	shard int
+	eng   *Searcher
+	sn    *snapshot // pinned view; reads only
 }
 
-func (l localShard) Shard() int  { return l.v.shard }
-func (l localShard) CountQuery() { l.v.slot.queries.Add(1) }
+func (l localShard) Shard() int  { return l.shard }
+func (l localShard) CountQuery() { l.ss.slots[l.shard].queries.Add(1) }
 
 func (l localShard) ReverseKNNByID(ctx context.Context, local, k int) ([]int, core.Stats, error) {
-	qr, err := l.v.sn.querier(l.v.eng, k)
+	qr, err := l.sn.querier(l.eng, k)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -100,7 +125,7 @@ func (l localShard) ReverseKNNByID(ctx context.Context, local, k int) ([]int, co
 }
 
 func (l localShard) ReverseKNNByPoint(ctx context.Context, q []float64, k int) ([]int, core.Stats, error) {
-	qr, err := l.v.sn.querier(l.v.eng, k)
+	qr, err := l.sn.querier(l.eng, k)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -114,7 +139,7 @@ func (l localShard) ReverseKNNByPoint(ctx context.Context, q []float64, k int) (
 func (l localShard) Points(_ context.Context, locals []int) ([][]float64, error) {
 	rows := make([][]float64, len(locals))
 	for i, lid := range locals {
-		rows[i] = livePoint(l.v.sn.ix, lid)
+		rows[i] = livePoint(l.sn.ix, lid)
 	}
 	return rows, nil
 }
@@ -122,15 +147,61 @@ func (l localShard) Points(_ context.Context, locals []int) ([][]float64, error)
 func (l localShard) KNNBatch(_ context.Context, probes []knnProbe) ([][]index.Neighbor, error) {
 	out := make([][]index.Neighbor, len(probes))
 	for i, p := range probes {
-		out[i] = l.v.sn.ix.KNN(p.q, p.k, p.skip)
+		out[i] = l.sn.ix.KNN(p.q, p.k, p.skip)
 	}
 	return out, nil
 }
 
+func (l localShard) Insert(ctx context.Context, p []float64) (int, bool, error) {
+	if l.eng == nil {
+		_, err := l.create([][]float64{p})
+		return 0, err == nil, err
+	}
+	id, err := l.eng.InsertContext(ctx, p)
+	return id, err == nil, err
+}
+
+func (l localShard) InsertBatch(ctx context.Context, pts [][]float64) ([]int, bool, error) {
+	if l.eng == nil {
+		ids, err := l.create(pts)
+		return ids, err == nil, err
+	}
+	ids, err := l.eng.InsertBatchContext(ctx, pts)
+	return ids, err == nil, err
+}
+
+func (l localShard) Delete(ctx context.Context, local int) (bool, error) {
+	if l.eng == nil {
+		return false, nil
+	}
+	return l.eng.DeleteContext(ctx, local)
+}
+
+// create populates a shard that never held a point with a fresh engine
+// over pts.
+func (l localShard) create(pts [][]float64) ([]int, error) {
+	eng, err := l.ss.buildShardEngine(l.shard, pts)
+	if err != nil {
+		return nil, err
+	}
+	return l.publish(eng, len(pts)), nil
+}
+
+// publish installs a freshly built engine of n points on the shard and
+// returns the local IDs it assigned them, 0..n-1.
+func (l localShard) publish(eng *Searcher, n int) []int {
+	l.ss.slots[l.shard].eng.Store(eng)
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
 // scatterSet is a pinned set of shard clients plus the shard map that
 // translates their local IDs — everything the transport-independent
-// scatter-gather needs. ShardedSearcher builds one per pin over
-// localShards; Coordinator builds one per query over remoteShards.
+// scatter-gather needs. The front end builds one per query (or per batch)
+// from its shardSet's pin.
 type scatterSet struct {
 	clients []shardClient
 	m       *index.ShardMap

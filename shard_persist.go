@@ -109,7 +109,8 @@ func writeShardManifest(dir string, shards int) error {
 // new generation in every shard store. Queries are served exactly as by
 // the embedded ShardedSearcher. All mutations MUST go through the
 // DurableShardedSearcher (they do automatically — the embedded engine's
-// mutation hooks are rebound to the logs).
+// writes are routed to durableShard clients, which call each shard's
+// DurableSearcher).
 //
 // Relaxed sync caveat: with WithWALSync(0) or n > 1, an OS crash (not a
 // process crash — unsynced appends still reach the OS immediately) can
@@ -170,7 +171,7 @@ func NewDurableSharded(dir string, ss *ShardedSearcher, opts ...StoreOption) (*D
 		d.closeStores()
 		return nil, fmt.Errorf("rknnd: commit sharded store manifest: %w", err)
 	}
-	d.bindHooks()
+	ss.set = d
 	return d, nil
 }
 
@@ -209,7 +210,7 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 		}
 		d.durables[i] = ds
 		d.recovery[i] = ds.Recovery()
-		spans[i] = engineIDSpan(ds.Searcher)
+		spans[i] = ds.IDSpan()
 		total += spans[i]
 		if proto == nil {
 			proto = ds.Searcher
@@ -236,13 +237,16 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 	}
 
 	ss := &ShardedSearcher{
-		scale:    proto.scale,
+		frontEnd: &frontEnd{
+			set:     d,
+			metric:  proto.snap.Load().ix.Metric(),
+			dim:     proto.Dim(),
+			scale:   proto.scale,
+			backend: proto.backend,
+		},
 		plus:     proto.plus,
 		adaptive: proto.adaptive,
 		margin:   proto.margin,
-		backend:  proto.backend,
-		metric:   proto.snap.Load().ix.Metric(),
-		dim:      proto.Dim(),
 		slots:    make([]*shardSlot, shards),
 	}
 	for i := range ss.slots {
@@ -256,18 +260,7 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 	}
 	ss.smap.Store(m)
 	d.ShardedSearcher = ss
-	d.bindHooks()
 	return d, nil
-}
-
-// engineIDSpan returns the number of IDs a shard engine has ever assigned
-// (live plus tombstoned).
-func engineIDSpan(s *Searcher) int {
-	ix := s.snap.Load().ix
-	if lv, ok := ix.(index.Liveness); ok {
-		return lv.IDSpan()
-	}
-	return ix.Len()
 }
 
 // sameEngineConfig verifies that two recovered shard engines carry the
@@ -290,17 +283,6 @@ func sameEngineConfig(a, b *Searcher) error {
 	return nil
 }
 
-// bindHooks reroutes the embedded engine's mutations through the per-shard
-// write-ahead logs.
-func (d *DurableShardedSearcher) bindHooks() {
-	d.ShardedSearcher.insertShard = d.durableInsert
-	d.ShardedSearcher.createShard = d.durableCreate
-	d.ShardedSearcher.deleteShard = d.durableDelete
-	d.ShardedSearcher.insertShardBatch = d.durableInsertBatch
-	d.ShardedSearcher.createShardBatch = d.durableCreateBatch
-	d.ShardedSearcher.preflightInsert = d.durablePreflight
-}
-
 func (d *DurableShardedSearcher) closeStores() {
 	for _, ds := range d.durables {
 		if ds != nil {
@@ -309,169 +291,94 @@ func (d *DurableShardedSearcher) closeStores() {
 	}
 }
 
-// durableInsert applies an insert on a populated shard and logs it before
-// acknowledging, with the same poisoning contract as DurableSearcher: a
-// log failure disables the shard's store but the global ID assignment
-// stands, matching the visible in-memory state.
-func (d *DurableShardedSearcher) durableInsert(ctx context.Context, shard int, eng *Searcher, p []float64) (int, bool, error) {
-	if d.closed {
-		return 0, false, errClosed
-	}
-	ds := d.durables[shard]
-	ds.wmu.Lock()
-	defer ds.wmu.Unlock()
-	if err := ds.usable(); err != nil {
-		return 0, false, err
-	}
-	id, err := ds.Searcher.InsertContext(ctx, p)
-	if err != nil {
-		return 0, false, err
-	}
-	if err := ds.store.AppendCtx(ctx, persist.WALRecord{Op: persist.WALInsert, ID: id, Point: p}); err != nil {
-		return id, true, ds.disable(err)
-	}
-	return id, true, nil
-}
-
-// durableCreate populates a previously empty shard: a fresh single-point
-// engine and a fresh shard store whose initial snapshot carries the point
-// (no WAL record needed).
-func (d *DurableShardedSearcher) durableCreate(ctx context.Context, shard int, p []float64) (*Searcher, error) {
+// writer implements shardSet: the shard's writes go through its store,
+// which must still accept them — a closed or disabled store refuses the
+// write before any global ID is assigned, so it tears nothing.
+func (d *DurableShardedSearcher) writer(s int) (shardClient, error) {
 	if d.closed {
 		return nil, errClosed
 	}
-	// The new store's snapshot is fully fsynced the moment it exists.
-	// Under a relaxed sync policy the sibling shards may still hold
-	// unsynced WAL tails for earlier acknowledged writes; an OS crash
-	// then would persist this (later) point while losing those (earlier)
-	// ones, skewing the per-shard ID spans the recovery cross-check
-	// relies on. Syncing every sibling log first keeps the durable state
-	// a prefix of the acknowledged writes. (Callers hold the engine's
-	// update lock, so no append races these syncs.)
-	for i, ds := range d.durables {
-		if ds == nil || ds.store == nil {
-			continue
-		}
-		if err := ds.store.Sync(); err != nil {
-			return nil, fmt.Errorf("rknnd: shard %d: syncing log before creating shard %d: %w", i, shard, err)
-		}
-	}
-	eng, err := d.ShardedSearcher.plainCreate(ctx, shard, p)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := NewDurable(shardDirName(d.dir, shard), eng, d.walOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
-	}
-	d.durables[shard] = ds
-	d.recovery[shard] = RecoveryInfo{Generation: 1}
-	return eng, nil
-}
-
-// durablePreflight verifies that every shard store a batch will touch can
-// still accept writes, before any global ID is assigned — so a poisoned or
-// closed store rejects the whole batch cleanly instead of tearing it.
-func (d *DurableShardedSearcher) durablePreflight(shards []int) error {
-	if d.closed {
-		return errClosed
-	}
-	for _, s := range shards {
-		ds := d.durables[s]
-		if ds == nil {
-			continue // shard store is created with the group
-		}
+	if ds := d.durables[s]; ds != nil {
 		ds.wmu.Lock()
 		err := ds.usable()
 		ds.wmu.Unlock()
 		if err != nil {
-			return fmt.Errorf("rknnd: shard %d: %w", s, err)
+			return nil, fmt.Errorf("rknnd: shard %d: %w", s, err)
 		}
 	}
-	return nil
+	return durableShard{localShard: localShard{ss: d.ShardedSearcher, shard: s}, d: d}, nil
 }
 
-// durableInsertBatch applies one shard's group of a batch insert and logs
-// it as a single WAL append (at most one fsync), with the same poisoning
-// contract as durableInsert. A process crash between the appends of
-// different shards' groups can tear a multi-shard batch across logs;
-// recovery then refuses to open (the ID-span cross-check) rather than
-// renumber survivors.
-func (d *DurableShardedSearcher) durableInsertBatch(ctx context.Context, shard int, eng *Searcher, pts [][]float64) ([]int, bool, error) {
-	if d.closed {
-		return nil, false, errClosed
-	}
-	ds := d.durables[shard]
-	ds.wmu.Lock()
-	defer ds.wmu.Unlock()
-	if err := ds.usable(); err != nil {
-		return nil, false, err
-	}
-	ids, err := ds.Searcher.InsertBatchContext(ctx, pts)
-	if err != nil {
-		return nil, false, err
-	}
-	records := make([]persist.WALRecord, len(ids))
-	for i, id := range ids {
-		records[i] = persist.WALRecord{Op: persist.WALInsert, ID: id, Point: pts[i]}
-	}
-	if err := ds.store.AppendBatchCtx(ctx, records); err != nil {
-		return ids, true, ds.disable(err)
-	}
-	return ids, true, nil
+// durableShard is the write client of one shard of a DurableShardedSearcher:
+// every write runs through the shard's DurableSearcher, which logs it
+// before acknowledging. A log failure disables that shard's store, but the
+// write was applied in memory, so the global ID assignment stands.
+type durableShard struct {
+	localShard
+	d *DurableShardedSearcher
 }
 
-// durableCreateBatch populates a previously empty shard with a whole batch
-// group: a fresh engine and a fresh shard store whose initial snapshot
-// carries the points (no WAL records needed). The sibling-sync discipline
-// of durableCreate applies unchanged.
-func (d *DurableShardedSearcher) durableCreateBatch(ctx context.Context, shard int, pts [][]float64) (*Searcher, error) {
-	if d.closed {
-		return nil, errClosed
+func (w durableShard) Insert(ctx context.Context, p []float64) (int, bool, error) {
+	ds := w.d.durables[w.shard]
+	if ds == nil {
+		_, err := w.create([][]float64{p})
+		return 0, err == nil, err
 	}
-	for i, ds := range d.durables {
+	return ds.insert(ctx, p)
+}
+
+// InsertBatch logs one shard's group of a batch as a single WAL append (at
+// most one fsync). A process crash between the appends of different
+// shards' groups can tear a multi-shard batch across logs; recovery then
+// refuses to open (the ID-span cross-check) rather than renumber survivors.
+func (w durableShard) InsertBatch(ctx context.Context, pts [][]float64) ([]int, bool, error) {
+	ds := w.d.durables[w.shard]
+	if ds == nil {
+		ids, err := w.create(pts)
+		return ids, err == nil, err
+	}
+	return ds.insertBatch(ctx, pts)
+}
+
+func (w durableShard) Delete(ctx context.Context, local int) (bool, error) {
+	ds := w.d.durables[w.shard]
+	if ds == nil {
+		return false, nil
+	}
+	return ds.DeleteContext(ctx, local)
+}
+
+// create populates a previously empty shard: a fresh engine and a fresh
+// shard store whose initial snapshot carries the points (no WAL records
+// needed).
+func (w durableShard) create(pts [][]float64) ([]int, error) {
+	// The new store's snapshot is fully fsynced the moment it exists.
+	// Under a relaxed sync policy the sibling shards may still hold
+	// unsynced WAL tails for earlier acknowledged writes; an OS crash
+	// then would persist these (later) points while losing those
+	// (earlier) ones, skewing the per-shard ID spans the recovery
+	// cross-check relies on. Syncing every sibling log first keeps the
+	// durable state a prefix of the acknowledged writes. (The front end's
+	// write lock is held, so no append races these syncs.)
+	for i, ds := range w.d.durables {
 		if ds == nil || ds.store == nil {
 			continue
 		}
 		if err := ds.store.Sync(); err != nil {
-			return nil, fmt.Errorf("rknnd: shard %d: syncing log before creating shard %d: %w", i, shard, err)
+			return nil, fmt.Errorf("rknnd: shard %d: syncing log before creating shard %d: %w", i, w.shard, err)
 		}
 	}
-	eng, err := d.ShardedSearcher.plainCreateBatch(ctx, shard, pts)
+	eng, err := w.ss.buildShardEngine(w.shard, pts)
 	if err != nil {
 		return nil, err
 	}
-	ds, err := NewDurable(shardDirName(d.dir, shard), eng, d.walOpts...)
+	ds, err := NewDurable(shardDirName(w.d.dir, w.shard), eng, w.d.walOpts...)
 	if err != nil {
-		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
+		return nil, fmt.Errorf("rknnd: shard %d: %w", w.shard, err)
 	}
-	d.durables[shard] = ds
-	d.recovery[shard] = RecoveryInfo{Generation: 1}
-	return eng, nil
-}
-
-// durableDelete applies and logs a point deletion on its shard.
-func (d *DurableShardedSearcher) durableDelete(ctx context.Context, shard int, eng *Searcher, local int) (bool, error) {
-	if d.closed {
-		return false, errClosed
-	}
-	ds := d.durables[shard]
-	if ds == nil {
-		return false, nil
-	}
-	ds.wmu.Lock()
-	defer ds.wmu.Unlock()
-	if err := ds.usable(); err != nil {
-		return false, err
-	}
-	ok, err := ds.Searcher.DeleteContext(ctx, local)
-	if err != nil || !ok {
-		return ok, err
-	}
-	if err := ds.store.AppendCtx(ctx, persist.WALRecord{Op: persist.WALDelete, ID: local}); err != nil {
-		return false, ds.disable(err)
-	}
-	return true, nil
+	w.d.durables[w.shard] = ds
+	w.d.recovery[w.shard] = RecoveryInfo{Generation: 1}
+	return w.publish(eng, len(pts)), nil
 }
 
 // Recovery returns what OpenSharded found on disk, indexed by shard

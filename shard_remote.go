@@ -22,12 +22,16 @@ import (
 )
 
 // This file is the remote implementation of shardClient: a shard served by
-// an `rknn shard-serve` daemon (or any rknn HTTP server holding one
-// partition), reached over HTTP with either JSON bodies or the compact
-// binary framing of internal/wire. The scatter-gather in shard_client.go
-// is transport-blind; everything network-specific — replica selection,
-// health-based failover, retry with backoff, per-request timeouts, header
-// propagation, per-shard request telemetry — lives here.
+// an `rknn shard-serve` daemon (any rknn server whose engine implements
+// server.ShardServing), reached over HTTP. Reads use the compact binary
+// framing of internal/wire on /v1/binary — one frame per call, the
+// candidate fetch and the verification probes batched. Writes are JSON on
+// the daemon's public write routes (POST /v1/points, POST
+// /v1/points/batch, DELETE /v1/points/{id}), go to the primary only, and
+// are never retried. The front end is transport-blind; everything
+// network-specific — replica selection, health-based failover, retry with
+// backoff, per-request timeouts, header propagation, replica demotion
+// after a write, per-shard request telemetry — lives here.
 
 // maxRemoteResponse bounds how many bytes one shard response may occupy in
 // memory, against a confused or hostile daemon streaming forever.
@@ -96,10 +100,9 @@ func newRemoteTelemetry(reg *telemetry.Registry) *remoteTelemetry {
 // shares: a single http.Client over one pooled Transport (per-host
 // keep-alive connections are reused across queries — fanning out with a
 // fresh Transport per shard would re-handshake constantly and leak idle
-// sockets), the framing choice, and the retry policy.
+// sockets), and the retry policy.
 type clusterClient struct {
 	hc      *http.Client
-	binary  bool
 	timeout time.Duration
 	retries int
 	backoff time.Duration
@@ -107,11 +110,14 @@ type clusterClient struct {
 }
 
 // remoteShard serves shardClient calls from a daemon across the network.
+// live is the shard's live point count, kept by the health loop and the
+// write calls; the coordinator scatters only over shards with live points.
 type remoteShard struct {
 	shard   int
 	rs      *replicaSet
 	cc      *clusterClient
 	queries atomic.Int64
+	live    atomic.Int64
 }
 
 func (r *remoteShard) Shard() int  { return r.shard }
@@ -286,199 +292,148 @@ func wireStats(ws wire.Stats) core.Stats {
 	}
 }
 
-// remoteStats mirrors the engine's Stats JSON shape (repro.Stats has no
-// JSON tags, so fields marshal under their Go names).
-type remoteStats struct {
-	ScanDepth     int
-	FilterSize    int
-	Excluded      int
-	LazyAccepts   int
-	LazyRejects   int
-	Verified      int
-	DistanceComps int64
-	Omega         float64
+// decodeErr maps a frame decoding failure: a daemon's error frame onto
+// the facade's error vocabulary, anything else onto this shard.
+func (r *remoteShard) decodeErr(err error) error {
+	var re *wire.RemoteError
+	if errors.As(err, &re) {
+		return remoteError(re.Msg)
+	}
+	return fmt.Errorf("shard %d: %w", r.shard, err)
 }
 
-func (r *remoteShard) reverseKNN(ctx context.Context, byID bool, local int, q []float64, k int) ([]int, core.Stats, error) {
-	if r.cc.binary {
-		var frame []byte
-		if byID {
-			frame = wire.AppendRkNNIDRequest(nil, local, k)
-		} else {
-			frame = wire.AppendRkNNPointRequest(nil, q, k)
-		}
-		resp, err := r.binaryCall(ctx, frame)
-		if err != nil {
-			return nil, core.Stats{}, err
-		}
-		ids, ws, err := wire.DecodeRkNNResponse(resp)
-		if err != nil {
-			var re *wire.RemoteError
-			if errors.As(err, &re) {
-				return nil, core.Stats{}, remoteError(re.Msg)
-			}
-			return nil, core.Stats{}, fmt.Errorf("shard %d: %w", r.shard, err)
-		}
-		return ids, wireStats(ws), nil
-	}
-	reqBody := map[string]any{"k": k, "stats": true}
-	if byID {
-		reqBody["id"] = local
-	} else {
-		reqBody["point"] = q
-	}
-	raw, err := json.Marshal(reqBody)
+func (r *remoteShard) reverseKNN(ctx context.Context, frame []byte) ([]int, core.Stats, error) {
+	resp, err := r.binaryCall(ctx, frame)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	var out struct {
-		IDs   []int        `json:"ids"`
-		Stats *remoteStats `json:"stats"`
-	}
-	err = r.call(ctx, false, http.MethodPost, "/v1/rknn", "application/json", raw,
-		func(status int, ctype string, body []byte) error {
-			if status != http.StatusOK {
-				return jsonErr(status, ctype, body)
-			}
-			return json.Unmarshal(body, &out)
-		})
+	ids, ws, err := wire.DecodeRkNNResponse(resp)
 	if err != nil {
-		return nil, core.Stats{}, err
+		return nil, core.Stats{}, r.decodeErr(err)
 	}
-	st := core.Stats{}
-	if out.Stats != nil {
-		st = core.Stats{
-			ScanDepth:     out.Stats.ScanDepth,
-			FilterSize:    out.Stats.FilterSize,
-			Excluded:      out.Stats.Excluded,
-			LazyAccepts:   out.Stats.LazyAccepts,
-			LazyRejects:   out.Stats.LazyRejects,
-			Verified:      out.Stats.Verified,
-			DistanceComps: out.Stats.DistanceComps,
-			Omega:         out.Stats.Omega,
-		}
-	}
-	return out.IDs, st, nil
+	return ids, wireStats(ws), nil
 }
 
 func (r *remoteShard) ReverseKNNByID(ctx context.Context, local, k int) ([]int, core.Stats, error) {
-	return r.reverseKNN(ctx, true, local, nil, k)
+	return r.reverseKNN(ctx, wire.AppendRkNNIDRequest(nil, local, k))
 }
 
 func (r *remoteShard) ReverseKNNByPoint(ctx context.Context, q []float64, k int) ([]int, core.Stats, error) {
-	return r.reverseKNN(ctx, false, -1, q, k)
+	return r.reverseKNN(ctx, wire.AppendRkNNPointRequest(nil, q, k))
 }
 
 func (r *remoteShard) Points(ctx context.Context, locals []int) ([][]float64, error) {
-	if r.cc.binary {
-		resp, err := r.binaryCall(ctx, wire.AppendPointsRequest(nil, locals))
-		if err != nil {
-			return nil, err
-		}
-		rows, err := wire.DecodePointsResponse(resp)
-		if err != nil {
-			var re *wire.RemoteError
-			if errors.As(err, &re) {
-				return nil, remoteError(re.Msg)
-			}
-			return nil, fmt.Errorf("shard %d: %w", r.shard, err)
-		}
-		return rows, nil
+	resp, err := r.binaryCall(ctx, wire.AppendPointsRequest(nil, locals))
+	if err != nil {
+		return nil, err
 	}
-	// JSON framing has no batch point fetch: one GET per ID, the cost the
-	// binary protocol exists to collapse.
-	rows := make([][]float64, len(locals))
-	for i, l := range locals {
-		var out struct {
-			Point []float64 `json:"point"`
-		}
-		absent := false
-		err := r.call(ctx, false, http.MethodGet, "/v1/points/"+strconv.Itoa(l), "", nil,
-			func(status int, ctype string, body []byte) error {
-				if status == http.StatusNotFound {
-					absent = true
-					return nil
-				}
-				if status != http.StatusOK {
-					return jsonErr(status, ctype, body)
-				}
-				return json.Unmarshal(body, &out)
-			})
-		if err != nil {
-			return nil, err
-		}
-		if !absent {
-			rows[i] = out.Point
-			if rows[i] == nil {
-				rows[i] = []float64{}
-			}
-		}
+	rows, err := wire.DecodePointsResponse(resp)
+	if err != nil {
+		return nil, r.decodeErr(err)
 	}
 	return rows, nil
 }
 
 func (r *remoteShard) KNNBatch(ctx context.Context, probes []knnProbe) ([][]index.Neighbor, error) {
-	if r.cc.binary {
-		qs := make([]wire.KNNQuery, len(probes))
-		for i, p := range probes {
-			qs[i] = wire.KNNQuery{Point: p.q, K: p.k, Skip: p.skip}
-		}
-		resp, err := r.binaryCall(ctx, wire.AppendKNNBatchRequest(nil, qs))
-		if err != nil {
-			return nil, err
-		}
-		lists, err := wire.DecodeKNNBatchResponse(resp)
-		if err != nil {
-			var re *wire.RemoteError
-			if errors.As(err, &re) {
-				return nil, remoteError(re.Msg)
-			}
-			return nil, fmt.Errorf("shard %d: %w", r.shard, err)
-		}
-		out := make([][]index.Neighbor, len(lists))
-		for i, nn := range lists {
-			tr := make([]index.Neighbor, len(nn))
-			for j, nb := range nn {
-				tr[j] = index.Neighbor{ID: nb.ID, Dist: nb.Dist}
-			}
-			out[i] = tr
-		}
-		return out, nil
-	}
-	// JSON framing: one POST /v1/knn per probe (see Points).
-	out := make([][]index.Neighbor, len(probes))
+	qs := make([]wire.KNNQuery, len(probes))
 	for i, p := range probes {
-		reqBody := map[string]any{"point": p.q, "k": p.k}
-		if p.skip >= 0 {
-			reqBody["skip"] = p.skip
+		qs[i] = wire.KNNQuery{Point: p.q, K: p.k, Skip: p.skip}
+	}
+	resp, err := r.binaryCall(ctx, wire.AppendKNNBatchRequest(nil, qs))
+	if err != nil {
+		return nil, err
+	}
+	lists, err := wire.DecodeKNNBatchResponse(resp)
+	if err != nil {
+		return nil, r.decodeErr(err)
+	}
+	out := make([][]index.Neighbor, len(lists))
+	for i, nn := range lists {
+		tr := make([]index.Neighbor, len(nn))
+		for j, nb := range nn {
+			tr[j] = index.Neighbor{ID: nb.ID, Dist: nb.Dist}
 		}
-		raw, err := json.Marshal(reqBody)
-		if err != nil {
-			return nil, err
-		}
-		var resp struct {
-			Neighbors []struct {
-				ID   int     `json:"id"`
-				Dist float64 `json:"dist"`
-			} `json:"neighbors"`
-		}
-		err = r.call(ctx, false, http.MethodPost, "/v1/knn", "application/json", raw,
-			func(status int, ctype string, body []byte) error {
-				if status != http.StatusOK {
-					return jsonErr(status, ctype, body)
-				}
-				return json.Unmarshal(body, &resp)
-			})
-		if err != nil {
-			return nil, err
-		}
-		nn := make([]index.Neighbor, len(resp.Neighbors))
-		for j, nb := range resp.Neighbors {
-			nn[j] = index.Neighbor{ID: nb.ID, Dist: nb.Dist}
-		}
-		out[i] = nn
+		out[i] = tr
 	}
 	return out, nil
+}
+
+// writeJSON sends one write to the shard's primary as JSON and decodes the
+// 201 answer into out. A failed remote write counts as not applied: the
+// coordinator cannot tell whether it landed, which the front end treats as
+// the worst case.
+func (r *remoteShard) writeJSON(ctx context.Context, path string, body, out any) error {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	return r.call(ctx, true, http.MethodPost, path, "application/json", raw,
+		func(status int, ctype string, body []byte) error {
+			if status != http.StatusCreated {
+				return jsonErr(status, ctype, body)
+			}
+			return json.Unmarshal(body, out)
+		})
+}
+
+// wrote records n points applied on the primary (negative for deletes) and
+// demotes the read replicas: they are stale until the health loop sees
+// them agree with the primary's live count again. Reads fail over to the
+// primary meanwhile, so acknowledged writes are always visible to later
+// reads.
+func (r *remoteShard) wrote(n int) {
+	r.live.Add(int64(n))
+	for i := 1; i < len(r.rs.addrs); i++ {
+		r.rs.markDown(i)
+	}
+}
+
+func (r *remoteShard) Insert(ctx context.Context, p []float64) (int, bool, error) {
+	var out struct {
+		ID int `json:"id"`
+	}
+	if err := r.writeJSON(ctx, "/v1/points", map[string]any{"point": p}, &out); err != nil {
+		return 0, false, fmt.Errorf("rknnd: shard %d: %w", r.shard, err)
+	}
+	r.wrote(1)
+	return out.ID, true, nil
+}
+
+func (r *remoteShard) InsertBatch(ctx context.Context, pts [][]float64) ([]int, bool, error) {
+	var out struct {
+		IDs []int `json:"ids"`
+	}
+	if err := r.writeJSON(ctx, "/v1/points/batch", map[string]any{"points": pts}, &out); err != nil {
+		return nil, false, err
+	}
+	if len(out.IDs) != len(pts) {
+		return nil, false, fmt.Errorf("daemon acknowledged %d of %d points", len(out.IDs), len(pts))
+	}
+	r.wrote(len(pts))
+	return out.IDs, true, nil
+}
+
+func (r *remoteShard) Delete(ctx context.Context, local int) (bool, error) {
+	deleted := false
+	err := r.call(ctx, true, http.MethodDelete, "/v1/points/"+strconv.Itoa(local), "", nil,
+		func(status int, ctype string, body []byte) error {
+			switch status {
+			case http.StatusOK:
+				deleted = true
+				return nil
+			case http.StatusNotFound:
+				return nil
+			default:
+				return jsonErr(status, ctype, body)
+			}
+		})
+	if err != nil {
+		return false, fmt.Errorf("rknnd: %w", err)
+	}
+	if deleted {
+		r.wrote(-1)
+	}
+	return deleted, nil
 }
 
 // shardInfo is the daemon self-description behind GET /v1/shard/info.

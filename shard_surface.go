@@ -99,37 +99,6 @@ func (s *Searcher) MetricIdentity() (uint8, float64, error) {
 	return uint8(id), param, err
 }
 
-// MemberPoints is the sharded form of Searcher.MemberPoints: IDs are
-// global, rows come from one pinned cross-shard read set.
-func (ss *ShardedSearcher) MemberPoints(ids ...int) [][]float64 {
-	views, m := ss.pin()
-	byShard := make(map[int]*shardView, len(views))
-	for i := range views {
-		byShard[views[i].shard] = &views[i]
-	}
-	rows := make([][]float64, len(ids))
-	for i, g := range ids {
-		s, l, ok := m.Locate(g)
-		if !ok {
-			continue
-		}
-		if v, ok := byShard[s]; ok {
-			rows[i] = livePoint(v.sn.ix, l)
-		}
-	}
-	return rows
-}
-
-// IDSpan is the sharded form of Searcher.IDSpan: the global assignment
-// count, which the shard map tracks exactly (deletes never shrink it).
-func (ss *ShardedSearcher) IDSpan() int { return ss.smap.Load().Len() }
-
-// MetricIdentity is the sharded form of Searcher.MetricIdentity.
-func (ss *ShardedSearcher) MetricIdentity() (uint8, float64, error) {
-	id, param, err := vecmath.IdentifyMetric(ss.metric)
-	return uint8(id), param, err
-}
-
 // EstimateScale estimates the scale parameter t over the full dataset
 // exactly the way NewSharded does before partitioning: the configured
 // estimator (WithAutoScale, default MLE) runs against an exact scan index
@@ -154,6 +123,14 @@ func EstimateScale(points [][]float64, opts ...Option) (float64, error) {
 	if err := vecmath.ValidateAllFor(cfg.metric, points); err != nil {
 		return 0, fmt.Errorf("rknnd: %w", err)
 	}
+	return cfg.fullScale(points)
+}
+
+// fullScale estimates t over the full dataset through a throwaway scan
+// index — the estimators are exact-kNN-based, so this yields the same t
+// as estimating on any back-end over the same points — then adds the
+// margin and clamps the result to at least 1.
+func (cfg config) fullScale(points [][]float64) (float64, error) {
 	full, err := harness.BuildBackend(string(BackendScan), points, cfg.metric)
 	if err != nil {
 		return 0, fmt.Errorf("rknnd: %w", err)
