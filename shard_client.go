@@ -24,7 +24,8 @@ import (
 // internal/server/cluster_test.go).
 //
 // All IDs crossing the interface are shard-local; the front end owns the
-// ShardMap and is the only layer that translates. Verification is batched
+// ShardMap, and it and its scatter sets are the only layers that
+// translate. Verification is batched
 // per shard (Points and KNNBatch take slices) so a remote shard costs a
 // constant number of round trips per query, not one per candidate.
 //
