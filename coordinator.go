@@ -269,6 +269,11 @@ func (co *Coordinator) healthLoop() {
 	}
 }
 
+// checkHealth runs one health round. A round whose probes raced a write on
+// their shard stores nothing for that shard: the probes may have been
+// answered before the write, and storing them would roll back the live
+// count the write recorded and re-admit the replicas it demoted (a read
+// could then miss an acknowledged write). The next round judges the shard.
 func (co *Coordinator) checkHealth() {
 	ctx, cancel := context.WithTimeout(context.Background(), co.cc.timeout)
 	defer cancel()
@@ -277,14 +282,25 @@ func (co *Coordinator) checkHealth() {
 		wg.Add(1)
 		go func(sh *remoteShard) {
 			defer wg.Done()
-			primaryPts, ok := co.probeReplica(ctx, sh, 0)
-			sh.rs.healthy[0].Store(ok)
-			if ok {
-				sh.live.Store(int64(primaryPts))
+			sh.hmu.Lock()
+			writes := sh.writes
+			sh.hmu.Unlock()
+			pts := make([]int, len(sh.rs.addrs))
+			up := make([]bool, len(sh.rs.addrs))
+			for r := range sh.rs.addrs {
+				pts[r], up[r] = co.probeReplica(ctx, sh, r)
+			}
+			sh.hmu.Lock()
+			defer sh.hmu.Unlock()
+			if sh.writes != writes {
+				return
+			}
+			sh.rs.healthy[0].Store(up[0])
+			if up[0] {
+				sh.live.Store(int64(pts[0]))
 			}
 			for r := 1; r < len(sh.rs.addrs); r++ {
-				pts, up := co.probeReplica(ctx, sh, r)
-				sh.rs.healthy[r].Store(up && (!ok || pts == primaryPts))
+				sh.rs.healthy[r].Store(up[r] && (!up[0] || pts[r] == pts[0]))
 			}
 		}(sh)
 	}

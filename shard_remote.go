@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -112,12 +113,16 @@ type clusterClient struct {
 // remoteShard serves shardClient calls from a daemon across the network.
 // live is the shard's live point count, kept by the health loop and the
 // write calls; the coordinator scatters only over shards with live points.
+// writes counts completed writes under hmu, so a health round can tell
+// that its probes may predate one (Coordinator.checkHealth).
 type remoteShard struct {
 	shard   int
 	rs      *replicaSet
 	cc      *clusterClient
 	queries atomic.Int64
 	live    atomic.Int64
+	hmu     sync.Mutex
+	writes  uint64
 }
 
 func (r *remoteShard) Shard() int  { return r.shard }
@@ -382,10 +387,13 @@ func (r *remoteShard) writeJSON(ctx context.Context, path string, body, out any)
 // primary meanwhile, so acknowledged writes are always visible to later
 // reads.
 func (r *remoteShard) wrote(n int) {
+	r.hmu.Lock()
+	defer r.hmu.Unlock()
 	r.live.Add(int64(n))
 	for i := 1; i < len(r.rs.addrs); i++ {
 		r.rs.markDown(i)
 	}
+	r.writes++
 }
 
 func (r *remoteShard) Insert(ctx context.Context, p []float64) (int, bool, error) {
