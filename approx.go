@@ -40,22 +40,21 @@ const (
 // The oracle costs O(n) distance computations per sampled candidate pair
 // with early exit, so keep samples small on large datasets; the telemetry
 // gauge additionally caches per snapshot.
-func (s *Searcher) RecallEstimate(samples, k int) (float64, error) {
+func (eng *engine) RecallEstimate(samples, k int) (float64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("rknnd: recall sample count must be positive, got %d", samples)
 	}
 	if k <= 0 {
 		return 0, fmt.Errorf("rknnd: core: K must be positive, got %d", k)
 	}
-	sn := s.snap.Load()
-	return s.recallOverSnapshot(sn, samples, k)
+	return eng.recallOverSnapshot(eng.snap.Load(), samples, k)
 }
 
 // recallOverSnapshot runs the estimate against one pinned snapshot,
 // bypassing the telemetry observers (the gauge calling back into observed
 // query paths would count its own probes as traffic).
-func (s *Searcher) recallOverSnapshot(sn *snapshot, samples, k int) (float64, error) {
-	qr, err := sn.querier(s, k)
+func (eng *engine) recallOverSnapshot(sn *snapshot, samples, k int) (float64, error) {
+	qr, err := sn.querier(eng, k)
 	if err != nil {
 		return 0, fmt.Errorf("rknnd: %w", err)
 	}
@@ -192,8 +191,8 @@ type recallCache struct {
 // large ones. Estimation failures, and scrapes landing before any estimate
 // exists, report -1, distinguishable from any real recall, rather than
 // poisoning or blocking scrapes.
-func (c *recallCache) estimate(s *Searcher) float64 {
-	sn := s.snap.Load()
+func (c *recallCache) estimate(eng *engine) float64 {
+	sn := eng.snap.Load()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.snap == sn {
@@ -206,7 +205,7 @@ func (c *recallCache) estimate(s *Searcher) float64 {
 		return c.val
 	}
 	if sn.ix.Len() <= recallSyncMaxPoints {
-		v, err := s.recallOverSnapshot(sn, DefaultRecallSamples, DefaultRecallRank)
+		v, err := eng.recallOverSnapshot(sn, DefaultRecallSamples, DefaultRecallRank)
 		if err != nil {
 			return -1
 		}
@@ -216,7 +215,7 @@ func (c *recallCache) estimate(s *Searcher) float64 {
 	if !c.refreshing {
 		c.refreshing = true
 		go func() {
-			v, err := s.recallOverSnapshot(sn, DefaultRecallSamples, DefaultRecallRank)
+			v, err := eng.recallOverSnapshot(sn, DefaultRecallSamples, DefaultRecallRank)
 			c.mu.Lock()
 			c.refreshing = false
 			if err == nil {

@@ -199,6 +199,7 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 	// end forwards every write and reports the daemon's refusal.
 	co.fe = frontEnd{
 		set:     co,
+		sharded: true,
 		metric:  metric,
 		dim:     ref.Dim,
 		scale:   ref.Scale,

@@ -16,11 +16,16 @@ import "fmt"
 // (the same copy-on-write discipline as the index snapshots, DESIGN.md).
 // Deletes never touch the map — tombstones live in the shard indexes — so a
 // once-published (global, shard, local) triple is valid forever.
+//
+// A one-shard map is the identity on [0, Len()) and stores only its
+// length, so Clone, Assign and RebuildShardMap(1, n) are O(1): the write
+// path of an unsharded engine clones the map on every write.
 type ShardMap struct {
 	shards  int
-	shardOf []int32   // global -> shard
-	localOf []int32   // global -> local
-	globals [][]int32 // shard -> local -> global
+	n       int       // global IDs ever assigned
+	shardOf []int32   // global -> shard; nil when shards == 1
+	localOf []int32   // global -> local; nil when shards == 1
+	globals [][]int32 // shard -> local -> global; nil when shards == 1
 }
 
 // ShardOf returns the shard a global ID is partitioned to, a fixed
@@ -40,7 +45,11 @@ func NewShardMap(shards int) (*ShardMap, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("index: shard count must be positive, got %d", shards)
 	}
-	return &ShardMap{shards: shards, globals: make([][]int32, shards)}, nil
+	m := &ShardMap{shards: shards}
+	if shards > 1 {
+		m.globals = make([][]int32, shards)
+	}
+	return m, nil
 }
 
 // RebuildShardMap reconstructs the mapping for n global IDs, exactly as n
@@ -51,6 +60,10 @@ func RebuildShardMap(shards, n int) (*ShardMap, error) {
 	m, err := NewShardMap(shards)
 	if err != nil {
 		return nil, err
+	}
+	if shards == 1 {
+		m.n = n
+		return m, nil
 	}
 	for i := 0; i < n; i++ {
 		m.Assign()
@@ -63,17 +76,26 @@ func (m *ShardMap) Shards() int { return m.shards }
 
 // Len returns the number of global IDs ever assigned (the global ID span;
 // tombstoned IDs are still counted, exactly like Liveness.IDSpan).
-func (m *ShardMap) Len() int { return len(m.shardOf) }
+func (m *ShardMap) Len() int { return m.n }
 
 // ShardLen returns the number of global IDs ever assigned to one shard —
 // the shard index's expected ID span.
-func (m *ShardMap) ShardLen(shard int) int { return len(m.globals[shard]) }
+func (m *ShardMap) ShardLen(shard int) int {
+	if m.shards == 1 {
+		return m.n
+	}
+	return len(m.globals[shard])
+}
 
 // Assign allocates the next global ID, places it on its shard, and returns
 // the full (global, shard, local) triple. Not safe for concurrent use;
 // writers must hold their update lock and publish a Clone.
 func (m *ShardMap) Assign() (global, shard, local int) {
-	global = len(m.shardOf)
+	global = m.n
+	m.n++
+	if m.shards == 1 {
+		return global, 0, global
+	}
 	shard = ShardOf(global, m.shards)
 	local = len(m.globals[shard])
 	m.shardOf = append(m.shardOf, int32(shard))
@@ -85,8 +107,11 @@ func (m *ShardMap) Assign() (global, shard, local int) {
 // Locate translates a global ID to its (shard, local) placement. ok is
 // false for IDs never assigned.
 func (m *ShardMap) Locate(global int) (shard, local int, ok bool) {
-	if global < 0 || global >= len(m.shardOf) {
+	if global < 0 || global >= m.n {
 		return 0, 0, false
+	}
+	if m.shards == 1 {
+		return 0, global, true
 	}
 	return int(m.shardOf[global]), int(m.localOf[global]), true
 }
@@ -94,25 +119,38 @@ func (m *ShardMap) Locate(global int) (shard, local int, ok bool) {
 // Global translates a (shard, local) placement back to its global ID. ok is
 // false for locals never assigned.
 func (m *ShardMap) Global(shard, local int) (global int, ok bool) {
-	if shard < 0 || shard >= m.shards || local < 0 || local >= len(m.globals[shard]) {
+	if shard < 0 || shard >= m.shards || local < 0 || local >= m.ShardLen(shard) {
 		return 0, false
+	}
+	if m.shards == 1 {
+		return local, true
 	}
 	return int(m.globals[shard][local]), true
 }
 
 // Globals returns the ascending global IDs living on one shard, indexed by
-// local ID. The returned slice is owned by the map and must not be
-// modified.
-func (m *ShardMap) Globals(shard int) []int32 { return m.globals[shard] }
+// local ID. The returned slice must not be modified; on a one-shard map it
+// is built on each call (O(n)), so it is for inspection, not hot paths.
+func (m *ShardMap) Globals(shard int) []int32 {
+	if m.shards > 1 {
+		return m.globals[shard]
+	}
+	out := make([]int32, m.n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
+}
 
 // Clone returns an independent copy for a writer to extend and publish.
 func (m *ShardMap) Clone() *ShardMap {
-	cl := &ShardMap{
-		shards:  m.shards,
-		shardOf: append([]int32(nil), m.shardOf...),
-		localOf: append([]int32(nil), m.localOf...),
-		globals: make([][]int32, m.shards),
+	cl := &ShardMap{shards: m.shards, n: m.n}
+	if m.shards == 1 {
+		return cl
 	}
+	cl.shardOf = append([]int32(nil), m.shardOf...)
+	cl.localOf = append([]int32(nil), m.localOf...)
+	cl.globals = make([][]int32, m.shards)
 	for s, g := range m.globals {
 		cl.globals[s] = append([]int32(nil), g...)
 	}

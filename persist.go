@@ -21,7 +21,9 @@ import (
 // the scale parameter, and the DurableSearcher — a Searcher bound to an
 // on-disk store whose Insert/Delete are write-ahead logged and which
 // recovers its exact state (snapshot + log replay) after a crash or
-// restart. See DESIGN.md, "Durable persistence".
+// restart. The logging itself belongs to durableEngine, one engine bound
+// to its store, which every shard of a DurableShardedSearcher uses too.
+// See DESIGN.md, "Durable persistence".
 
 // ErrNoStore reports that Open found no readable snapshot in the directory.
 var ErrNoStore = persist.ErrNoStore
@@ -33,8 +35,8 @@ var ErrNoStore = persist.ErrNoStore
 // concurrently with queries and updates; updates racing the call may or may
 // not be included. Only built-in metrics serialize; a custom Metric makes
 // Save fail.
-func (s *Searcher) Save(w io.Writer) error {
-	rec, err := s.snapshotRecord()
+func (eng *engine) Save(w io.Writer) error {
+	rec, err := eng.snapshotRecord()
 	if err != nil {
 		return err
 	}
@@ -44,14 +46,14 @@ func (s *Searcher) Save(w io.Writer) error {
 	return nil
 }
 
-// snapshotRecord captures the Searcher's current state as a persist record.
-func (s *Searcher) snapshotRecord() (*persist.Snapshot, error) {
+// snapshotRecord captures the engine's current state as a persist record.
+func (eng *engine) snapshotRecord() (*persist.Snapshot, error) {
 	// Fold the delta overlay first so the record can ship the base
 	// back-end's native structure blob. Racing writers may leave a residual
 	// delta; the record then captures generically (rows + tombstones) and a
 	// restore rebuilds — exactly the existing corrupted-blob degradation.
-	s.compactNow()
-	ix := s.snap.Load().ix
+	eng.compactNow()
+	ix := eng.snap.Load().ix
 	metricID, metricParam, err := vecmath.IdentifyMetric(ix.Metric())
 	if err != nil {
 		return nil, fmt.Errorf("rknnd: save: %w", err)
@@ -60,11 +62,11 @@ func (s *Searcher) snapshotRecord() (*persist.Snapshot, error) {
 	rec := &persist.Snapshot{
 		MetricID:    metricID,
 		MetricParam: metricParam,
-		Backend:     string(s.backend),
-		Plus:        s.plus,
-		Adaptive:    s.adaptive,
-		Scale:       s.scale,
-		Margin:      s.margin,
+		Backend:     string(eng.backend),
+		Plus:        eng.plus,
+		Adaptive:    eng.adaptive,
+		Scale:       eng.scale,
+		Margin:      eng.margin,
 		Dim:         ix.Dim(),
 		Points:      st.Points,
 		Deleted:     st.Deleted,
@@ -89,7 +91,7 @@ func (s *Searcher) snapshotRecord() (*persist.Snapshot, error) {
 	// The quantized-filter codebook ships with the snapshot so a restore
 	// screens with the original training bounds instead of retraining on
 	// the (possibly mutated) row set.
-	if cb := s.quantCodebook(); cb != nil {
+	if cb := eng.quantCodebook(); cb != nil {
 		rec.Quant = cb.MarshalBinary()
 	}
 	return rec, nil
@@ -109,7 +111,11 @@ func Load(r io.Reader) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return searcherForSnapshot(rec, ix)
+	eng, err := engineForSnapshot(rec, ix)
+	if err != nil {
+		return nil, err
+	}
+	return newSearcher(eng), nil
 }
 
 // restoreIndex rebuilds the forward index described by a snapshot record:
@@ -176,10 +182,10 @@ func restoreIndex(rec *persist.Snapshot) (index.Index, error) {
 	return ix, nil
 }
 
-// searcherForSnapshot assembles a Searcher around a restored index using
-// the persisted engine configuration — deliberately never calling estimate.
-func searcherForSnapshot(rec *persist.Snapshot, ix index.Index) (*Searcher, error) {
-	s := &Searcher{
+// engineForSnapshot assembles an engine around a restored index using the
+// persisted engine configuration — deliberately never calling estimate.
+func engineForSnapshot(rec *persist.Snapshot, ix index.Index) (*engine, error) {
+	cfg := engineConfig{
 		plus:     rec.Plus,
 		adaptive: rec.Adaptive,
 		margin:   rec.Margin,
@@ -194,10 +200,9 @@ func searcherForSnapshot(rec *persist.Snapshot, ix index.Index) (*Searcher, erro
 		if !(rec.Scale > 0) {
 			return nil, fmt.Errorf("rknnd: load: scale parameter %v not positive", rec.Scale)
 		}
-		s.scale = rec.Scale
+		cfg.scale = rec.Scale
 	}
-	s.snap.Store(&snapshot{ix: wrapOverlay(ix)})
-	return s, nil
+	return newEngine(cfg, ix), nil
 }
 
 // StoreOption configures the on-disk store behind Open and NewDurable.
@@ -220,17 +225,12 @@ func WithWALSync(n int) StoreOption {
 // every Insert and Delete is appended to a write-ahead log before being
 // acknowledged, and Snapshot cuts a new full snapshot generation and
 // truncates the log. Queries are served exactly as by the embedded
-// Searcher — lock-free, against immutable snapshots. All mutations MUST go
-// through the DurableSearcher: updating the embedded Searcher directly
-// would bypass the log and silently fork the on-disk state.
+// Searcher — lock-free, against immutable snapshots. Writes go through the
+// embedded Searcher's front end, whose one-shard set is the store's
+// (durableSet), so they are logged whichever of the two receives them.
 type DurableSearcher struct {
 	*Searcher
-
-	wmu      sync.Mutex // orders WAL appends with their in-memory application
-	store    *persist.Store
-	broken   error // set on a log failure: the store can no longer be trusted
-	gen      atomic.Uint64
-	recovery RecoveryInfo
+	*durableSet
 }
 
 // RecoveryInfo describes what Open found on disk.
@@ -260,6 +260,23 @@ func StoreExists(dir string) bool { return persist.Exists(dir) }
 // parameter is restored, never re-estimated. Returns ErrNoStore (wrapped)
 // when dir holds no readable snapshot.
 func Open(dir string, opts ...StoreOption) (*DurableSearcher, error) {
+	de, info, err := openEngine(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	return bindDurable(newSearcher(de.eng), de, info), nil
+}
+
+// bindDurable routes s's writes through its store de.
+func bindDurable(s *Searcher, de *durableEngine, info RecoveryInfo) *DurableSearcher {
+	ds := newDurableSet(s.frontEnd, s.loc, "", nil)
+	ds.durables[0], ds.recovery[0] = de, info
+	s.set = ds
+	return &DurableSearcher{Searcher: s, durableSet: ds}
+}
+
+// openEngine recovers one engine and its store from dir.
+func openEngine(dir string, opts []StoreOption) (*durableEngine, RecoveryInfo, error) {
 	cfg := storeConfig{sync: persist.DefaultSync()}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -270,12 +287,12 @@ func Open(dir string, opts ...StoreOption) (*DurableSearcher, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("rknnd: open %s: %w", dir, err)
+		return nil, RecoveryInfo{}, fmt.Errorf("rknnd: open %s: %w", dir, err)
 	}
 	ix, err := restoreIndex(rec)
 	if err != nil {
 		st.Close()
-		return nil, err
+		return nil, RecoveryInfo{}, err
 	}
 	// Replay lands in the overlay's memtable: O(records) appends with zero
 	// distance or hash computations, while insert-ID verification still
@@ -283,28 +300,24 @@ func Open(dir string, opts ...StoreOption) (*DurableSearcher, error) {
 	ix = wrapOverlay(ix)
 	if err := replayRecords(ix, records); err != nil {
 		st.Close()
-		return nil, fmt.Errorf("rknnd: open %s: %w", dir, err)
+		return nil, RecoveryInfo{}, fmt.Errorf("rknnd: open %s: %w", dir, err)
 	}
-	s, err := searcherForSnapshot(rec, ix)
+	eng, err := engineForSnapshot(rec, ix)
 	if err != nil {
 		st.Close()
-		return nil, err
+		return nil, RecoveryInfo{}, err
 	}
-	d := &DurableSearcher{
-		Searcher: s,
-		store:    st,
-		recovery: RecoveryInfo{
-			Generation:       info.Gen,
-			WALRecords:       info.WALRecords,
-			WALTorn:          info.WALTorn,
-			SkippedSnapshots: info.SkippedSnapshots,
-		},
-	}
-	d.gen.Store(info.Gen)
+	de := &durableEngine{eng: eng, store: st}
+	de.gen.Store(info.Gen)
 	// A large replayed log may exceed the compaction threshold; fold it in
 	// the background rather than on the first unlucky write.
-	s.maybeCompact()
-	return d, nil
+	eng.maybeCompact()
+	return de, RecoveryInfo{
+		Generation:       info.Gen,
+		WALRecords:       info.WALRecords,
+		WALTorn:          info.WALTorn,
+		SkippedSnapshots: info.SkippedSnapshots,
+	}, nil
 }
 
 // replayRecords applies logged mutations to a freshly-restored index. The
@@ -341,14 +354,24 @@ func replayRecords(ix index.Index, records []persist.WALRecord) error {
 
 // NewDurable binds an existing Searcher to a fresh store in dir, writing
 // the initial snapshot (generation 1) and an empty log. It refuses to
-// overwrite an existing store. The Searcher must not receive further
-// updates except through the returned DurableSearcher.
+// overwrite an existing store. From then on the Searcher's writes are
+// logged too: it and the returned DurableSearcher share one front end.
 func NewDurable(dir string, s *Searcher, opts ...StoreOption) (*DurableSearcher, error) {
+	de, err := createEngine(dir, s.engine, opts)
+	if err != nil {
+		return nil, err
+	}
+	return bindDurable(s, de, RecoveryInfo{Generation: 1}), nil
+}
+
+// createEngine binds eng to a fresh store in dir holding its current state
+// as generation 1.
+func createEngine(dir string, eng *engine, opts []StoreOption) (*durableEngine, error) {
 	cfg := storeConfig{sync: persist.DefaultSync()}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	rec, err := s.snapshotRecord()
+	rec, err := eng.snapshotRecord()
 	if err != nil {
 		return nil, err
 	}
@@ -356,24 +379,30 @@ func NewDurable(dir string, s *Searcher, opts ...StoreOption) (*DurableSearcher,
 	if err != nil {
 		return nil, fmt.Errorf("rknnd: create store in %s: %w", dir, err)
 	}
-	d := &DurableSearcher{Searcher: s, store: st, recovery: RecoveryInfo{Generation: 1}}
-	d.gen.Store(1)
-	return d, nil
+	de := &durableEngine{eng: eng, store: st}
+	de.gen.Store(1)
+	return de, nil
 }
 
 // Recovery returns what Open found on disk (zero-valued for a store made
 // by NewDurable).
-func (d *DurableSearcher) Recovery() RecoveryInfo { return d.recovery }
-
-// Generation returns the current snapshot generation of the store. It is
-// lock-free, so monitoring endpoints never wait behind a snapshot cut.
-func (d *DurableSearcher) Generation() uint64 { return d.gen.Load() }
+func (d *DurableSearcher) Recovery() RecoveryInfo { return d.recovery[0] }
 
 var errClosed = errors.New("rknnd: durable searcher is closed")
 
+// durableEngine is one engine bound to its on-disk store: the WAL-logged
+// writes of a DurableSearcher and of every DurableShardedSearcher shard.
+type durableEngine struct {
+	eng    *engine
+	wmu    sync.Mutex // orders WAL appends with their in-memory application
+	store  *persist.Store
+	broken error // set on a log failure: the store can no longer be trusted
+	gen    atomic.Uint64
+}
+
 // usable reports whether the store can still accept mutations; callers
 // hold wmu.
-func (d *DurableSearcher) usable() error {
+func (d *durableEngine) usable() error {
 	if d.store == nil {
 		return errClosed
 	}
@@ -386,79 +415,43 @@ func (d *DurableSearcher) usable() error {
 // the log unreplayable, since insert IDs are verified on recovery). All
 // subsequent mutations fail with the original cause; queries keep working.
 // Callers hold wmu.
-func (d *DurableSearcher) disable(cause error) error {
+func (d *durableEngine) disable(cause error) error {
 	d.broken = fmt.Errorf("rknnd: durable store disabled after write-ahead log failure: %w", cause)
 	return d.broken
 }
 
-// Insert applies the update in memory and appends it to the write-ahead
-// log before acknowledging. A log failure returns an error and disables
-// the store (see disable); the in-memory insert remains visible until
-// restart.
-func (d *DurableSearcher) Insert(p []float64) (int, error) {
-	return d.InsertContext(context.Background(), p)
-}
-
-// InsertContext is Insert with a context. It shadows the embedded engine's
-// promoted method — without this override a context-taking caller would
-// reach the in-memory engine directly and silently bypass the write-ahead
-// log. A traced context records the WAL append and fsync as spans.
-func (d *DurableSearcher) InsertContext(ctx context.Context, p []float64) (int, error) {
-	id, _, err := d.insert(ctx, p)
-	if err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// insert is InsertContext reporting whether the in-memory insert took
-// effect: after a log failure the point stays visible, so its ID is
-// returned with the error (a sharded store keeps the global ID).
-func (d *DurableSearcher) insert(ctx context.Context, p []float64) (int, bool, error) {
+// insert applies the point in memory and appends it to the write-ahead
+// log before acknowledging, reporting whether the in-memory insert took
+// effect: after a log failure the point stays visible (until restart), so
+// its ID is returned with the error.
+func (d *durableEngine) insert(ctx context.Context, p []float64) (int, bool, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	if err := d.usable(); err != nil {
 		return 0, false, err
 	}
-	id, err := d.Searcher.InsertContext(ctx, p)
+	ids, err := d.eng.insert([][]float64{p})
 	if err != nil {
 		return 0, false, err
 	}
-	if err := d.store.AppendCtx(ctx, persist.WALRecord{Op: persist.WALInsert, ID: id, Point: p}); err != nil {
-		return id, true, d.disable(err)
+	if err := d.store.AppendCtx(ctx, persist.WALRecord{Op: persist.WALInsert, ID: ids[0], Point: p}); err != nil {
+		return ids[0], true, d.disable(err)
 	}
-	return id, true, nil
+	return ids[0], true, nil
 }
 
-// InsertBatch applies a batch of points in one copy-on-write step and logs
-// the whole batch as one write-ahead append — one lock acquisition, one
-// frame write, at most one fsync for the entire batch. The batch is atomic
-// in memory and in the log: either every point is inserted and logged, or
-// none are. The error contract matches Insert.
-func (d *DurableSearcher) InsertBatch(points [][]float64) ([]int, error) {
-	return d.InsertBatchContext(context.Background(), points)
-}
-
-// InsertBatchContext is InsertBatch with a context, shadowing the promoted
-// method for the same WAL-bypass reason as InsertContext.
-func (d *DurableSearcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
-	ids, _, err := d.insertBatch(ctx, points)
-	if err != nil {
-		return nil, err
-	}
-	return ids, nil
-}
-
-// insertBatch is InsertBatchContext with insert's applied contract.
-func (d *DurableSearcher) insertBatch(ctx context.Context, points [][]float64) ([]int, bool, error) {
+// insertBatch applies a batch in one copy-on-write step and logs it as one
+// write-ahead append — one frame write, at most one fsync. The batch is
+// atomic in memory and in the log; the error contract matches insert.
+func (d *durableEngine) insertBatch(ctx context.Context, points [][]float64) ([]int, bool, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	if err := d.usable(); err != nil {
 		return nil, false, err
 	}
-	ids, err := d.Searcher.InsertBatchContext(ctx, points)
-	if err != nil || len(ids) == 0 {
-		return ids, err == nil, err
+	ids, err := d.eng.insert(points)
+	if err != nil {
+		return nil, false, err
 	}
 	records := make([]persist.WALRecord, len(ids))
 	for i, id := range ids {
@@ -470,21 +463,15 @@ func (d *DurableSearcher) insertBatch(ctx context.Context, points [][]float64) (
 	return ids, true, nil
 }
 
-// Delete applies and logs a point deletion, with the same error contract
-// as Insert. Deletes that change nothing are not logged.
-func (d *DurableSearcher) Delete(id int) (bool, error) {
-	return d.DeleteContext(context.Background(), id)
-}
-
-// DeleteContext is Delete with a context, shadowing the promoted method for
-// the same WAL-bypass reason as InsertContext.
-func (d *DurableSearcher) DeleteContext(ctx context.Context, id int) (bool, error) {
+// delete applies and logs a deletion, with insert's error contract.
+// Deletes that change nothing are not logged.
+func (d *durableEngine) delete(ctx context.Context, id int) (bool, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	if err := d.usable(); err != nil {
 		return false, err
 	}
-	ok, err := d.Searcher.DeleteContext(ctx, id)
+	ok, err := d.eng.delete(id)
 	if err != nil || !ok {
 		return ok, err
 	}
@@ -494,18 +481,16 @@ func (d *DurableSearcher) DeleteContext(ctx context.Context, id int) (bool, erro
 	return true, nil
 }
 
-// Snapshot cuts a new snapshot generation reflecting all acknowledged
+// snapshot cuts a new snapshot generation reflecting all acknowledged
 // writes — written to a temporary file and renamed into place, so a crash
 // mid-cut preserves the previous generation — then truncates the log.
-// Queries and the embedded engine are never blocked; concurrent Insert and
-// Delete calls simply wait for the cut like any other logged write.
-func (d *DurableSearcher) Snapshot() error {
+func (d *durableEngine) snapshot() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	if err := d.usable(); err != nil {
 		return err
 	}
-	rec, err := d.snapshotRecord()
+	rec, err := d.eng.snapshotRecord()
 	if err != nil {
 		return err
 	}
@@ -516,9 +501,8 @@ func (d *DurableSearcher) Snapshot() error {
 	return nil
 }
 
-// Close syncs and closes the log. Further mutations fail; queries keep
-// working against the in-memory state.
-func (d *DurableSearcher) Close() error {
+// close syncs and closes the log; further mutations fail.
+func (d *durableEngine) close() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	if d.store == nil {

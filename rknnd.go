@@ -26,7 +26,6 @@
 package repro
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -210,40 +209,67 @@ func WithAdaptiveScale() Option { return func(c *config) { c.adaptive = true } }
 // atomic pointer swap (copy-on-write; see DESIGN.md). A query therefore
 // always observes a consistent dataset — the one current when it started —
 // never a half-applied update.
+//
+// A Searcher is the one-shard case of the scatter-gather engine: its query,
+// batch and write entry points are the shared front end's (frontEnd,
+// shard.go) over a shard set pinning its single engine, whose answer is the
+// global answer with no merge (shard.go). The engine supplies the
+// per-index surfaces: Save, the quantized filter, compaction, the recall
+// oracle and the shard-serving probes.
 type Searcher struct {
+	*frontEnd
+	*engine
+}
+
+// engineConfig is the query configuration an engine answers with; every
+// engine of one front end shares it.
+type engineConfig struct {
 	scale    float64
 	plus     bool
 	adaptive bool
 	margin   float64
 	backend  Backend // recorded so Save can round-trip the index
 
-	snap atomic.Pointer[snapshot]
-	mu   sync.Mutex // serializes Insert/Delete (writers clone, then swap)
-
 	// compactAt is the delta-overlay size past which a write schedules a
-	// background compaction (0 selects defaultCompactionThreshold); fold is
-	// held by the one compaction folding at a time, and compactions counts
-	// the folds performed over the Searcher's lifetime.
-	compactAt   int
+	// background compaction (0 selects defaultCompactionThreshold).
+	compactAt int
+	// quant records that the quantized pre-filter was requested, so Save
+	// marks the snapshot and new shards train their own codebook.
+	quant bool
+}
+
+// engine is one in-process shard: the copy-on-write index snapshot with
+// its memoized query engines, the overlay writes, and compaction. A
+// Searcher serves one; a ShardedSearcher one per populated shard.
+type engine struct {
+	engineConfig
+
+	snap atomic.Pointer[snapshot]
+	mu   sync.Mutex // serializes writes (writers clone, then swap)
+
+	// fold is held by the one compaction folding at a time, and
+	// compactions counts the folds performed over the engine's lifetime.
 	fold        sync.Mutex
 	compactions atomic.Int64
 
-	// quant records that the quantized pre-filter was requested, so Save
-	// marks the snapshot and shards propagate the option.
-	quant bool
-
-	// tel aggregates per-query work counters when telemetry is enabled
-	// (WithTelemetry / EnableTelemetry); nil when disabled. Published
-	// atomically so it can be attached while queries are in flight.
-	tel atomic.Pointer[engineTelemetry]
+	// queries counts the scatter visits this engine served (ShardStats).
+	queries atomic.Int64
 
 	// traceRing, when set (EnableTracing), receives background compaction
 	// traces — compactions have no request context, so each fold records
 	// itself as its own root trace. compactHist, when set (EnableTelemetry),
-	// observes fold durations; on a sharded engine every shard stores the
-	// same per-backend histogram, so the series sums across shards.
+	// observes fold durations; every engine of a front end stores the same
+	// per-backend histogram, so the series sums across shards.
 	traceRing   atomic.Pointer[trace.Ring]
 	compactHist atomic.Pointer[telemetry.Histogram]
+}
+
+// newEngine serves ix under cfg, behind a delta overlay when the back-end
+// is dynamic.
+func newEngine(cfg engineConfig, ix index.Index) *engine {
+	eng := &engine{engineConfig: cfg}
+	eng.snap.Store(&snapshot{ix: wrapOverlay(ix)})
+	return eng
 }
 
 // snapshot is one immutable generation of the index, together with its
@@ -258,20 +284,20 @@ type snapshot struct {
 
 // querier returns the snapshot's memoized query engine for rank k,
 // constructing it on first use.
-func (sn *snapshot) querier(s *Searcher, k int) (*core.Querier, error) {
+func (sn *snapshot) querier(eng *engine, k int) (*core.Querier, error) {
 	if qr, ok := sn.queriers.Load(k); ok {
 		return qr.(*core.Querier), nil
 	}
 	var qr *core.Querier
 	var err error
-	if s.adaptive {
+	if eng.adaptive {
 		qr, err = core.NewAdaptiveQuerier(sn.ix, core.AdaptiveParams{
 			K:          k,
-			Multiplier: 1 + s.margin,
-			Plus:       s.plus,
+			Multiplier: 1 + eng.margin,
+			Plus:       eng.plus,
 		})
 	} else {
-		qr, err = core.NewQuerier(sn.ix, core.Params{K: k, T: s.scale, Plus: s.plus})
+		qr, err = core.NewQuerier(sn.ix, core.Params{K: k, T: eng.scale, Plus: eng.plus})
 	}
 	if err != nil {
 		return nil, err
@@ -309,37 +335,43 @@ func New(points [][]float64, opts ...Option) (*Searcher, error) {
 	// O(delta) instead of an O(n) backend clone. Static back-ends stay bare
 	// (their writes are rejected anyway).
 	ix = wrapOverlay(ix)
+	ec := engineConfig{plus: !cfg.plain, backend: cfg.backend, compactAt: cfg.compactAt, quant: cfg.quant}
 	if cfg.adaptive {
 		if cfg.margin < 0 {
 			return nil, fmt.Errorf("rknnd: scale margin must be non-negative, got %v", cfg.margin)
 		}
-		s := &Searcher{adaptive: true, margin: cfg.margin, plus: !cfg.plain, backend: cfg.backend, compactAt: cfg.compactAt, quant: cfg.quant}
-		s.snap.Store(&snapshot{ix: ix})
-		if cfg.reg != nil {
-			s.EnableTelemetry(cfg.reg)
+		ec.adaptive, ec.margin = true, cfg.margin
+	} else {
+		// t is estimated on the index being served: no throwaway build.
+		ec.scale = cfg.scale
+		if math.IsNaN(ec.scale) {
+			ec.scale, err = estimate(cfg.auto, ix, points, cfg.metric)
+			if err != nil {
+				return nil, fmt.Errorf("rknnd: estimating scale parameter: %w", err)
+			}
+			ec.scale = math.Max(ec.scale+cfg.margin, 1)
 		}
-		return s, nil
-	}
-	scale := cfg.scale
-	if math.IsNaN(scale) {
-		scale, err = estimate(cfg.auto, ix, points, cfg.metric)
-		if err != nil {
-			return nil, fmt.Errorf("rknnd: estimating scale parameter: %w", err)
-		}
-		scale += cfg.margin
-		if scale < 1 {
-			scale = 1
+		if !(ec.scale > 0) {
+			return nil, fmt.Errorf("rknnd: scale parameter must be positive, got %v", ec.scale)
 		}
 	}
-	if !(scale > 0) {
-		return nil, fmt.Errorf("rknnd: scale parameter must be positive, got %v", scale)
-	}
-	s := &Searcher{scale: scale, plus: !cfg.plain, backend: cfg.backend, compactAt: cfg.compactAt, quant: cfg.quant}
-	s.snap.Store(&snapshot{ix: ix})
+	s := newSearcher(newEngine(ec, ix))
 	if cfg.reg != nil {
 		s.EnableTelemetry(cfg.reg)
 	}
 	return s, nil
+}
+
+// newSearcher puts eng behind a front end whose one-shard set always pins
+// it — even when empty, so the engine's own errors surface — with the
+// identity shard map over its ID span.
+func newSearcher(eng *engine) *Searcher {
+	ix := eng.snap.Load().ix
+	ls := &localSet{engineConfig: eng.engineConfig, metric: ix.Metric(), slots: make([]atomic.Pointer[engine], 1)}
+	ls.slots[0].Store(eng)
+	m, _ := index.RebuildShardMap(1, eng.IDSpan())
+	_, dynamic := ix.(index.Cloner)
+	return &Searcher{frontEnd: newFrontEnd(ls, ix.Dim(), false, dynamic, m), engine: eng}
 }
 
 // estimateCalls counts scale estimations; the persistence tests assert the
@@ -360,253 +392,8 @@ func estimate(e Estimator, ix index.Index, points [][]float64, metric Metric) (f
 	}
 }
 
-// Scale returns the scale parameter t in effect, or 0 when the Searcher
-// adapts t online per query (WithAdaptiveScale).
-func (s *Searcher) Scale() float64 { return s.scale }
-
-// Backend returns the forward-index back-end the Searcher was built (or
-// restored) with.
-func (s *Searcher) Backend() Backend { return s.backend }
-
-// Approximate reports whether queries run in the approximate regime: the
-// back-end streams candidate rankings that may miss true neighbors
-// (BackendLSH), so results are not guaranteed exact at any scale parameter.
-// Exact back-ends return false.
-func (s *Searcher) Approximate() bool { return s.backend == BackendLSH }
-
 // Len returns the number of indexed points.
-func (s *Searcher) Len() int { return s.snap.Load().ix.Len() }
-
-// Dim returns the dimensionality of the indexed points.
-func (s *Searcher) Dim() int { return s.snap.Load().ix.Dim() }
-
-// ReverseKNN returns the IDs of the dataset members that have member qid
-// among their k nearest neighbors, sorted ascending. The member itself is
-// excluded.
-func (s *Searcher) ReverseKNN(qid, k int) ([]int, error) {
-	ids, _, err := s.ReverseKNNStatsContext(context.Background(), qid, k)
-	return ids, err
-}
-
-// ReverseKNNContext is ReverseKNN with a context. When ctx carries a trace
-// span (internal/trace), the query's facade, core and index stages hang
-// their spans off it; an untraced context costs one nil check per layer.
-func (s *Searcher) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
-	ids, _, err := s.ReverseKNNStatsContext(ctx, qid, k)
-	return ids, err
-}
-
-// ReverseKNNPoint answers the query for an arbitrary point, which need not
-// be a dataset member.
-func (s *Searcher) ReverseKNNPoint(q []float64, k int) ([]int, error) {
-	ids, _, err := s.ReverseKNNPointStatsContext(context.Background(), q, k)
-	return ids, err
-}
-
-// ReverseKNNPointContext is ReverseKNNPoint with a context, traced like
-// ReverseKNNContext.
-func (s *Searcher) ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error) {
-	ids, _, err := s.ReverseKNNPointStatsContext(ctx, q, k)
-	return ids, err
-}
-
-// ReverseKNNStats is ReverseKNN with the per-query work counters.
-func (s *Searcher) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
-	return s.ReverseKNNStatsContext(context.Background(), qid, k)
-}
-
-// ReverseKNNStatsContext is ReverseKNNStats with a context, traced like
-// ReverseKNNContext.
-func (s *Searcher) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
-	return s.query(ctx, k, opRkNN, nil, qid, func(ctx context.Context, qr *core.Querier) (*core.Result, error) {
-		return qr.ByIDCtx(ctx, qid)
-	})
-}
-
-// ReverseKNNPointStats is ReverseKNNPoint with the per-query work counters.
-func (s *Searcher) ReverseKNNPointStats(q []float64, k int) ([]int, Stats, error) {
-	return s.ReverseKNNPointStatsContext(context.Background(), q, k)
-}
-
-// ReverseKNNPointStatsContext is ReverseKNNPointStats with a context,
-// traced like ReverseKNNContext.
-func (s *Searcher) ReverseKNNPointStatsContext(ctx context.Context, q []float64, k int) ([]int, Stats, error) {
-	return s.query(ctx, k, opRkNNPoint, q, -1, func(ctx context.Context, qr *core.Querier) (*core.Result, error) {
-		return qr.ByPointCtx(ctx, q)
-	})
-}
-
-// querier returns the per-rank query engine of the current snapshot:
-// fixed-scale Algorithm 1 or the adaptive variant, memoized per rank.
-func (s *Searcher) querier(k int) (*core.Querier, error) {
-	return s.snap.Load().querier(s, k)
-}
-
-// query runs one reverse-kNN operation with tracing and telemetry. q and
-// qid identify the query point for the workload sketch: point queries pass
-// q directly, member queries pass qid (resolved only when the sketch is
-// live, after the query has succeeded).
-func (s *Searcher) query(ctx context.Context, k int, op string, q []float64, qid int, run func(context.Context, *core.Querier) (*core.Result, error)) ([]int, Stats, error) {
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	// facade.pin covers the snapshot pin and per-rank engine lookup (a
-	// memoized construction on a cold rank). All span calls are nil-safe
-	// no-ops on the untraced path.
-	psp := trace.FromContext(ctx).Child("facade.pin")
-	qr, err := s.querier(k)
-	if psp != nil {
-		psp.SetStr("backend", string(s.backend))
-		psp.SetStr("op", op)
-		if s.scale > 0 {
-			psp.SetFloat("scale", s.scale)
-		}
-		psp.End()
-	}
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("rknnd: %w", err)
-	}
-	res, err := run(ctx, qr)
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("rknnd: %w", err)
-	}
-	st := fromCore(res.Stats)
-	if tel != nil {
-		at := tel.observeOp(op, 1, begin)
-		tel.observeStats(st, at)
-		if tel.workload != nil {
-			if q == nil && qid >= 0 {
-				q = s.pointSafe(qid)
-			}
-			tel.observeWorkload(op, k, q, st, at.Sub(begin), at)
-		}
-	}
-	return res.IDs, st, nil
-}
-
-// pointSafe resolves a member's coordinates for the workload sketch,
-// tolerating IDs a concurrent delete has invalidated since the query
-// pinned its snapshot (an overlay Point on a dead row may panic; the
-// sketch then records the query without a region cell).
-func (s *Searcher) pointSafe(id int) (p []float64) {
-	defer func() {
-		if recover() != nil {
-			p = nil
-		}
-	}()
-	return s.snap.Load().ix.Point(id)
-}
-
-// BatchReverseKNN answers many member queries concurrently on a worker pool
-// (0 workers selects all cores) and returns the per-query ID lists in input
-// order. The first per-query error aborts the batch.
-func (s *Searcher) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) {
-	return s.BatchReverseKNNContext(context.Background(), qids, k, workers)
-}
-
-// BatchReverseKNNContext is BatchReverseKNN with cancellation: when ctx is
-// cancelled mid-batch the pool stops dispatching, drains its in-flight
-// queries, and returns ctx's error. The whole batch runs against the single
-// snapshot current at the call, so results are mutually consistent even
-// while Insert/Delete run concurrently.
-func (s *Searcher) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	psp := trace.FromContext(ctx).Child("facade.pin")
-	qr, err := s.querier(k)
-	if psp != nil {
-		psp.SetStr("backend", string(s.backend))
-		psp.SetStr("op", opBatch)
-		psp.SetInt("members", int64(len(qids)))
-		psp.End()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	batch, err := qr.BatchByIDContext(ctx, qids, workers)
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	out := make([][]int, len(batch))
-	var firstErr error
-	succeeded := 0
-	for i, br := range batch {
-		if br.Err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("rknnd: query %d: %w", br.QueryID, br.Err)
-			}
-			continue
-		}
-		out[i] = br.Result.IDs
-		succeeded++
-	}
-	if tel != nil {
-		// One latency observation per batch call; member queries count
-		// individually in rknn_queries_total and the candidate aggregates.
-		// Successful members are recorded even when a failed member aborts
-		// the batch — their work happened, and dropping them would make the
-		// engine totals disagree with the server's per-route accounting.
-		tel.countQueries(opBatch, succeeded)
-		at := tel.observeLatency(opBatch, begin)
-		for _, br := range batch {
-			if br.Err == nil {
-				tel.observeStats(fromCore(br.Result.Stats), at)
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// KNN returns the k forward nearest neighbors of an arbitrary point as
-// (id, distance) pairs in ascending distance order — the ordinary
-// similarity query, exposed because reverse-neighbor applications almost
-// always need it too.
-func (s *Searcher) KNN(q []float64, k int) ([]Neighbor, error) {
-	return s.KNNContext(context.Background(), q, k)
-}
-
-// KNNContext is KNN with a context; a traced request records the forward
-// search as one "core.knn" span.
-func (s *Searcher) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	ksp := trace.FromContext(ctx).Child("core.knn")
-	if ksp != nil {
-		ksp.SetStr("backend", string(s.backend))
-		ksp.SetInt("k", int64(k))
-		defer ksp.End()
-	}
-	ix := s.snap.Load().ix
-	if err := vecmath.ValidateFor(ix.Metric(), q); err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	if len(q) != ix.Dim() {
-		return nil, fmt.Errorf("rknnd: query dimension %d, index dimension %d", len(q), ix.Dim())
-	}
-	nn := ix.KNN(q, k, -1)
-	out := make([]Neighbor, len(nn))
-	for i, nb := range nn {
-		out[i] = Neighbor{ID: nb.ID, Dist: nb.Dist}
-	}
-	if tel != nil {
-		at := tel.observeOp(opKNN, 1, begin)
-		// Forward queries carry no pruning stats, but they are traffic with
-		// a region: the sketch sees them with zeroed accumulators.
-		tel.observeWorkload(opKNN, k, q, Stats{}, at.Sub(begin), at)
-	}
-	return out, nil
-}
+func (eng *engine) Len() int { return eng.snap.Load().ix.Len() }
 
 // Neighbor is a dataset member paired with its distance from a query.
 type Neighbor struct {
@@ -616,166 +403,42 @@ type Neighbor struct {
 
 // Point returns the coordinates of a dataset member. The returned slice is
 // owned by the Searcher and must not be modified.
-func (s *Searcher) Point(id int) []float64 { return s.snap.Load().ix.Point(id) }
+func (eng *engine) Point(id int) []float64 { return eng.snap.Load().ix.Point(id) }
 
-// Insert adds a point when the back-end supports dynamic updates
-// (BackendCoverTree, BackendScan, and BackendLSH do) and returns its new ID.
-// The paper highlights this property for data warehouse and stream scenarios
-// (Section 4); here a write clones only the delta overlay over the immutable
-// base index — O(delta), not O(n) — so that in-flight queries keep reading
-// their frozen snapshot, then publishes the updated clone with one atomic
-// swap. The O(n) cost is paid by a background compaction once the delta
-// exceeds the threshold (WithCompactionThreshold). Updates are serialized;
-// queries are never blocked.
-func (s *Searcher) Insert(p []float64) (int, error) {
-	return s.InsertContext(context.Background(), p)
-}
-
-// InsertContext is Insert with a context; a traced request records the
-// copy-on-write application as one "facade.apply" span.
-func (s *Searcher) InsertContext(ctx context.Context, p []float64) (int, error) {
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	asp.SetStr("op", opInsert)
-	id, err := s.applyInsert(p)
-	asp.End()
-	if err != nil {
-		return 0, err
-	}
-	if tel != nil {
-		tel.observeOp(opInsert, 1, begin)
-	}
-	s.maybeCompact()
-	return id, nil
-}
-
-func (s *Searcher) applyInsert(p []float64) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.snap.Load().ix
-	cl, ok := cur.(index.Cloner)
-	if !ok {
-		return 0, errors.New("rknnd: back-end does not support insertion")
-	}
-	// Reject invalid points before paying for the clone, so a stream of
-	// bad requests cannot stall legitimate writers.
-	if err := vecmath.ValidateFor(cur.Metric(), p); err != nil {
-		return 0, fmt.Errorf("rknnd: %w", err)
-	}
-	if len(p) != cur.Dim() {
-		return 0, fmt.Errorf("rknnd: point dimension %d, index dimension %d", len(p), cur.Dim())
-	}
-	next := cl.Clone()
-	id, err := next.Insert(p)
-	if err != nil {
-		return 0, fmt.Errorf("rknnd: %w", err)
-	}
-	s.snap.Store(&snapshot{ix: next})
-	return id, nil
-}
-
-// InsertBatch adds many points in one copy-on-write step: one lock
-// acquisition, one overlay clone, one snapshot publication for the whole
-// batch. The batch is atomic — either every point is inserted (IDs returned
-// in input order) or none are visible. An empty batch is a no-op.
-func (s *Searcher) InsertBatch(points [][]float64) ([]int, error) {
-	return s.InsertBatchContext(context.Background(), points)
-}
-
-// InsertBatchContext is InsertBatch with a context, traced like
-// InsertContext.
-func (s *Searcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
-	if len(points) == 0 {
-		return nil, nil
-	}
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	asp.SetStr("op", opInsert)
-	asp.SetInt("members", int64(len(points)))
-	ids, err := s.applyInsertBatch(points)
-	asp.End()
-	if err != nil {
-		return nil, err
-	}
-	if tel != nil {
-		// Each member counts as an insert; the latency histogram observes
-		// once per batch call, mirroring query-batch accounting.
-		tel.countQueries(opInsert, len(ids))
-		tel.observeLatency(opInsert, begin)
-	}
-	s.maybeCompact()
-	return ids, nil
-}
-
-func (s *Searcher) applyInsertBatch(points [][]float64) ([]int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.snap.Load().ix
-	cl, ok := cur.(index.Cloner)
+// insert appends pts, already validated by the front end, to a clone of
+// the current snapshot and publishes it with one swap — all or none — and
+// returns their IDs in order. Only the delta overlay is cloned (O(delta),
+// not O(n)), so in-flight queries keep reading their frozen snapshot; the
+// O(n) cost is paid by a background compaction once the delta exceeds the
+// threshold (WithCompactionThreshold).
+func (eng *engine) insert(pts [][]float64) ([]int, error) {
+	defer eng.maybeCompact()
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	cl, ok := eng.snap.Load().ix.(index.Cloner)
 	if !ok {
 		return nil, errors.New("rknnd: back-end does not support insertion")
 	}
-	for i, p := range points {
-		if err := vecmath.ValidateFor(cur.Metric(), p); err != nil {
-			return nil, fmt.Errorf("rknnd: batch point %d: %w", i, err)
-		}
-		if len(p) != cur.Dim() {
-			return nil, fmt.Errorf("rknnd: batch point %d: dimension %d, index dimension %d", i, len(p), cur.Dim())
-		}
-	}
 	next := cl.Clone()
-	ids := make([]int, len(points))
-	for i, p := range points {
+	ids := make([]int, len(pts))
+	for i, p := range pts {
 		id, err := next.Insert(p)
 		if err != nil {
-			return nil, fmt.Errorf("rknnd: batch point %d: %w", i, err)
+			return nil, fmt.Errorf("rknnd: %w", err)
 		}
 		ids[i] = id
 	}
-	s.snap.Store(&snapshot{ix: next})
+	eng.snap.Store(&snapshot{ix: next})
 	return ids, nil
 }
 
-// Delete removes a dataset member when the back-end supports dynamic
-// updates, with the same copy-on-write discipline as Insert (an O(delta)
-// overlay clone plus a tombstone). It reports whether the ID was present.
-func (s *Searcher) Delete(id int) (bool, error) {
-	return s.DeleteContext(context.Background(), id)
-}
-
-// DeleteContext is Delete with a context, traced like InsertContext.
-func (s *Searcher) DeleteContext(ctx context.Context, id int) (bool, error) {
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	asp.SetStr("op", opDelete)
-	applied, err := s.applyDelete(id)
-	asp.End()
-	if err != nil {
-		return false, err
-	}
-	if tel != nil && applied {
-		tel.observeOp(opDelete, 1, begin)
-	}
-	s.maybeCompact()
-	return applied, nil
-}
-
-func (s *Searcher) applyDelete(id int) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.snap.Load().ix
+// delete tombstones id with the same copy-on-write discipline as insert,
+// reporting whether it was live.
+func (eng *engine) delete(id int) (bool, error) {
+	defer eng.maybeCompact()
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	cur := eng.snap.Load().ix
 	cl, ok := cur.(index.Cloner)
 	if !ok {
 		return false, errors.New("rknnd: back-end does not support deletion")
@@ -789,7 +452,7 @@ func (s *Searcher) applyDelete(id int) (bool, error) {
 	if !next.Delete(id) {
 		return false, nil // unchanged: keep the current snapshot warm
 	}
-	s.snap.Store(&snapshot{ix: next})
+	eng.snap.Store(&snapshot{ix: next})
 	return true, nil
 }
 
@@ -823,13 +486,13 @@ func enableQuantFilter(ix index.Index, cb *vecmath.Codebook) error {
 
 // QuantFiltered reports whether the quantized candidate pre-filter is
 // active.
-func (s *Searcher) QuantFiltered() bool { return s.quant }
+func (eng *engine) QuantFiltered() bool { return eng.quant }
 
 // QuantFilterStats returns the quantized pre-filter's monotone lifetime
 // totals: candidate rows admitted to exact verification and rows screened
 // out by the quantized lower bounds. Both are 0 when the filter is off.
-func (s *Searcher) QuantFilterStats() (admitted, screened int64) {
-	if qf, ok := s.snap.Load().ix.(index.QuantFiltered); ok {
+func (eng *engine) QuantFilterStats() (admitted, screened int64) {
+	if qf, ok := eng.snap.Load().ix.(index.QuantFiltered); ok {
 		return qf.QuantFilterStats()
 	}
 	return 0, 0
@@ -837,8 +500,8 @@ func (s *Searcher) QuantFilterStats() (admitted, screened int64) {
 
 // quantCodebook returns the active codebook (nil when the filter is off),
 // for Save.
-func (s *Searcher) quantCodebook() *vecmath.Codebook {
-	if qf, ok := s.snap.Load().ix.(index.QuantFiltered); ok {
+func (eng *engine) quantCodebook() *vecmath.Codebook {
+	if qf, ok := eng.snap.Load().ix.(index.QuantFiltered); ok {
 		return qf.QuantCodebook()
 	}
 	return nil
@@ -846,17 +509,17 @@ func (s *Searcher) quantCodebook() *vecmath.Codebook {
 
 // compactThreshold returns the effective delta-overlay compaction
 // threshold.
-func (s *Searcher) compactThreshold() int {
-	if s.compactAt > 0 {
-		return s.compactAt
+func (eng *engine) compactThreshold() int {
+	if eng.compactAt > 0 {
+		return eng.compactAt
 	}
 	return defaultCompactionThreshold
 }
 
 // MemtableLen returns the number of delta-overlay memtable rows awaiting
 // compaction — 0 for static back-ends and right after a compaction.
-func (s *Searcher) MemtableLen() int {
-	if ov, ok := s.snap.Load().ix.(*index.Overlay); ok {
+func (eng *engine) MemtableLen() int {
+	if ov, ok := eng.snap.Load().ix.(*index.Overlay); ok {
 		return ov.MemtableLen()
 	}
 	return 0
@@ -865,42 +528,42 @@ func (s *Searcher) MemtableLen() int {
 // Compactions returns how many delta-overlay compactions (O(n) folds of the
 // memtable and tombstones into a fresh base index) the Searcher has
 // performed.
-func (s *Searcher) Compactions() int64 { return s.compactions.Load() }
+func (eng *engine) Compactions() int64 { return eng.compactions.Load() }
 
 // maybeCompact schedules a background compaction when the published delta
 // overlay has grown past the threshold. At most one compaction runs at a
 // time; writers are never blocked by it.
-func (s *Searcher) maybeCompact() {
-	ov, ok := s.snap.Load().ix.(*index.Overlay)
-	if !ok || ov.Pending() < s.compactThreshold() {
+func (eng *engine) maybeCompact() {
+	ov, ok := eng.snap.Load().ix.(*index.Overlay)
+	if !ok || ov.Pending() < eng.compactThreshold() {
 		return
 	}
-	if !s.fold.TryLock() {
+	if !eng.fold.TryLock() {
 		return // a compaction is already folding
 	}
-	go s.compact(ov)
+	go eng.compact(ov)
 }
 
 // compact folds the frozen overlay's delta into a fresh base clone — the
 // one O(n) step of the write path, performed off the write lock — then
 // rebases the current overlay (which may have accumulated further writes
 // meanwhile) onto the folded index and publishes it. Callers must hold
-// s.fold, which compact releases, and must not hold s.mu.
+// eng.fold, which compact releases, and must not hold eng.mu.
 //
 // A compaction has no request context, so when tracing is enabled
 // (EnableTracing) each fold records itself as its own root trace
 // ("compact") in the ring; the fold duration also feeds
 // rknn_compaction_duration_seconds when telemetry is enabled.
-func (s *Searcher) compact(frozen *index.Overlay) {
-	defer s.fold.Unlock()
-	ring := s.traceRing.Load()
+func (eng *engine) compact(frozen *index.Overlay) {
+	defer eng.fold.Unlock()
+	ring := eng.traceRing.Load()
 	var tr *trace.Trace
 	var fsp *trace.Span
 	start := time.Now()
 	if ring != nil {
 		tr = trace.New("compact", true)
 		root := tr.Root()
-		root.SetStr("backend", string(s.backend))
+		root.SetStr("backend", string(eng.backend))
 		fsp = root.Child("compact.fold")
 		fsp.SetInt("memtable_rows", int64(frozen.MemtableLen()))
 		fsp.SetInt("pending", int64(frozen.Pending()))
@@ -916,14 +579,14 @@ func (s *Searcher) compact(frozen *index.Overlay) {
 		}
 		return
 	}
-	s.mu.Lock()
-	if cur, ok := s.snap.Load().ix.(*index.Overlay); ok {
-		s.snap.Store(&snapshot{ix: cur.Rebase(frozen, folded)})
-		s.compactions.Add(1)
+	eng.mu.Lock()
+	if cur, ok := eng.snap.Load().ix.(*index.Overlay); ok {
+		eng.snap.Store(&snapshot{ix: cur.Rebase(frozen, folded)})
+		eng.compactions.Add(1)
 	}
-	s.mu.Unlock()
+	eng.mu.Unlock()
 	d := time.Since(start)
-	if h := s.compactHist.Load(); h != nil {
+	if h := eng.compactHist.Load(); h != nil {
 		h.Observe(d.Seconds())
 	}
 	if tr != nil {
@@ -941,14 +604,14 @@ const compactNowRounds = 8
 // lock for any background compaction in flight however long it takes.
 // Used by the persistence paths so snapshots can ship the base back-end's
 // native structure blob.
-func (s *Searcher) compactNow() {
+func (eng *engine) compactNow() {
 	for round := 0; round < compactNowRounds; round++ {
-		s.fold.Lock()
-		ov, ok := s.snap.Load().ix.(*index.Overlay)
+		eng.fold.Lock()
+		ov, ok := eng.snap.Load().ix.(*index.Overlay)
 		if !ok || !ov.Dirty() {
-			s.fold.Unlock()
+			eng.fold.Unlock()
 			return
 		}
-		s.compact(ov) // re-check next round: writes may land during the fold
+		eng.compact(ov) // re-check next round: writes may land during the fold
 	}
 }

@@ -43,18 +43,9 @@ type ShardInfo struct {
 	Queries int64 `json:"queries"`
 }
 
-// shardSlot is the engine holder of one shard. The engine pointer is nil
-// until the first point lands on the shard (hash partitioning can leave
-// shards empty on small datasets) and is published atomically so queries
-// never lock.
-type shardSlot struct {
-	eng     atomic.Pointer[Searcher]
-	queries atomic.Int64
-}
-
 // ShardedSearcher answers reverse k-nearest neighbor queries over a
 // dataset hash-partitioned across S shards. Each shard is an independent
-// copy-on-write Searcher, so the concurrency contract matches Searcher:
+// copy-on-write engine, so the concurrency contract matches Searcher:
 // unrestricted concurrent queries racing Insert/Delete, with every
 // per-shard read served from one frozen snapshot. Global IDs are stable
 // and dense in insertion order, exactly like Searcher IDs, and are mapped
@@ -67,24 +58,10 @@ type shardSlot struct {
 // suite pins (shard_conformance_test.go).
 //
 // The query and write entry points are the shared front end's (frontEnd);
-// ShardedSearcher supplies the in-process shards behind it.
+// ShardedSearcher supplies the in-process shards behind it (localSet).
 type ShardedSearcher struct {
 	*frontEnd
-
-	plus      bool
-	adaptive  bool
-	margin    float64
-	compactAt int // per-shard delta-overlay compaction threshold; 0: default
-	quant     bool
-
-	slots []*shardSlot
-
-	// traceRing/compactHist mirror the Searcher fields. They are kept here
-	// as the source of truth so shard engines created after EnableTracing /
-	// EnableTelemetry (a previously empty shard receiving its first point)
-	// inherit them in newShardEngine.
-	traceRing   atomic.Pointer[trace.Ring]
-	compactHist atomic.Pointer[telemetry.Histogram]
+	*localSet
 }
 
 // NewSharded partitions points across the given number of shards and
@@ -138,24 +115,20 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 		parts[s] = append(parts[s], points[g])
 	}
 
-	ss := &ShardedSearcher{
-		frontEnd: &frontEnd{
-			metric:  cfg.metric,
-			dim:     len(points[0]),
-			scale:   scale,
-			backend: cfg.backend,
+	ls := &localSet{
+		engineConfig: engineConfig{
+			scale:     scale,
+			plus:      !cfg.plain,
+			adaptive:  cfg.adaptive,
+			margin:    cfg.margin,
+			backend:   cfg.backend,
+			compactAt: cfg.compactAt,
+			quant:     cfg.quant,
 		},
-		plus:      !cfg.plain,
-		adaptive:  cfg.adaptive,
-		margin:    cfg.margin,
-		compactAt: cfg.compactAt,
-		quant:     cfg.quant,
-		slots:     make([]*shardSlot, shards),
+		metric: cfg.metric,
+		slots:  make([]atomic.Pointer[engine], shards),
 	}
-	ss.set = ss
-	for i := range ss.slots {
-		ss.slots[i] = &shardSlot{}
-	}
+	dynamic := false
 	for s, part := range parts {
 		if len(part) == 0 {
 			continue
@@ -169,80 +142,16 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 				return nil, err
 			}
 		}
-		if !ss.dynamic {
-			_, ss.dynamic = ix.(index.Cloner)
+		if !dynamic {
+			_, dynamic = ix.(index.Cloner)
 		}
-		ss.slots[s].eng.Store(ss.newShardEngine(ix))
+		ls.slots[s].Store(ls.newEngine(ix))
 	}
-	ss.smap.Store(m)
+	ss := &ShardedSearcher{frontEnd: newFrontEnd(ls, len(points[0]), true, dynamic, m), localSet: ls}
 	if cfg.reg != nil {
 		ss.EnableTelemetry(cfg.reg)
 	}
 	return ss, nil
-}
-
-// newShardEngine wraps an index in a Searcher carrying the sharded
-// engine's configuration — deliberately without any scale estimation.
-func (ss *ShardedSearcher) newShardEngine(ix index.Index) *Searcher {
-	s := &Searcher{
-		scale:     ss.scale,
-		plus:      ss.plus,
-		adaptive:  ss.adaptive,
-		margin:    ss.margin,
-		backend:   ss.backend,
-		compactAt: ss.compactAt,
-		quant:     ss.quant,
-	}
-	if ss.quant {
-		// Shards created after construction (a previously empty shard
-		// receiving its first point) train their own codebook. NewSharded
-		// already validated back-end support, so a failure here is
-		// impossible; ignore it rather than poison the write path.
-		if qf, ok := ix.(index.QuantFiltered); ok && qf.QuantCodebook() == nil {
-			_ = qf.EnableQuantFilter(nil)
-		}
-	}
-	s.snap.Store(&snapshot{ix: wrapOverlay(ix)})
-	if ring := ss.traceRing.Load(); ring != nil {
-		s.traceRing.Store(ring)
-	}
-	if h := ss.compactHist.Load(); h != nil {
-		s.compactHist.Store(h)
-	}
-	return s
-}
-
-// Shards returns the shard count.
-func (ss *ShardedSearcher) Shards() int { return len(ss.slots) }
-
-// Approximate reports whether the shards run in the approximate regime
-// (BackendLSH); see Searcher.Approximate. The scatter-gather merge is exact
-// relative to the per-shard candidate sets, so the approximation is exactly
-// the shards' own.
-func (ss *ShardedSearcher) Approximate() bool { return ss.backend == BackendLSH }
-
-// Len returns the number of live points across all shards.
-func (ss *ShardedSearcher) Len() int {
-	n := 0
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			n += eng.Len()
-		}
-	}
-	return n
-}
-
-// ShardStats reports per-shard size and traffic counters, the monitoring
-// surface behind the server's /statsz shards section.
-func (ss *ShardedSearcher) ShardStats() []ShardInfo {
-	out := make([]ShardInfo, len(ss.slots))
-	for i, slot := range ss.slots {
-		out[i] = ShardInfo{Shard: i, Queries: slot.queries.Load()}
-		if eng := slot.eng.Load(); eng != nil {
-			out[i].Points = eng.Len()
-		}
-	}
-	return out
 }
 
 // Point returns the coordinates of a dataset member by global ID. The
@@ -259,7 +168,7 @@ func (ss *ShardedSearcher) Point(global int) []float64 {
 	if !ok {
 		panic(fmt.Sprintf("rknnd: point id %d out of range [0,%d)", global, m.Len()))
 	}
-	eng := ss.slots[s].eng.Load()
+	eng := ss.slots[s].Load()
 	if eng == nil {
 		return nil // map-published, engine not yet: the in-flight window
 	}
@@ -274,90 +183,169 @@ func (ss *ShardedSearcher) Point(global int) []float64 {
 	return ix.Point(l)
 }
 
+// localSet is the shardSet over in-process engines: the S shards of a
+// ShardedSearcher, or the single engine of a Searcher. A slot is nil until
+// the first point lands on its shard (hash partitioning can leave shards
+// empty on small datasets) and is published atomically so queries never
+// lock.
+type localSet struct {
+	engineConfig
+	metric Metric
+	slots  []atomic.Pointer[engine]
+
+	// traceRing/compactHist are kept here so engines created after
+	// EnableTracing / EnableTelemetry (a previously empty shard receiving
+	// its first point) inherit them in newEngine.
+	traceRing   atomic.Pointer[trace.Ring]
+	compactHist atomic.Pointer[telemetry.Histogram]
+}
+
+// newEngine wraps a shard index in an engine carrying the set's
+// configuration — deliberately without any scale estimation.
+func (ls *localSet) newEngine(ix index.Index) *engine {
+	if ls.quant {
+		// Shards created after construction (a previously empty shard
+		// receiving its first point) train their own codebook. Back-end
+		// support was validated at construction, so a failure here is
+		// impossible; ignore it rather than poison the write path.
+		if qf, ok := ix.(index.QuantFiltered); ok && qf.QuantCodebook() == nil {
+			_ = qf.EnableQuantFilter(nil)
+		}
+	}
+	eng := newEngine(ls.engineConfig, ix)
+	eng.traceRing.Store(ls.traceRing.Load())
+	eng.compactHist.Store(ls.compactHist.Load())
+	return eng
+}
+
+// build builds a fresh engine holding copies of pts, for a shard that
+// never held a point until now.
+func (ls *localSet) build(shard int, pts [][]float64) (*engine, error) {
+	cp := make([][]float64, len(pts))
+	for i, p := range pts {
+		cp[i] = vecmath.Clone(p)
+	}
+	ix, err := harness.BuildBackend(string(ls.backend), cp, ls.metric)
+	if err != nil {
+		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
+	}
+	return ls.newEngine(ix), nil
+}
+
+// publish installs a freshly built engine of n points on a shard and
+// returns the local IDs it assigned them, 0..n-1.
+func (ls *localSet) publish(shard int, eng *engine, n int) []int {
+	ls.slots[shard].Store(eng)
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+// engines returns the populated shards' engines.
+func (ls *localSet) engines() []*engine {
+	out := make([]*engine, 0, len(ls.slots))
+	for i := range ls.slots {
+		if eng := ls.slots[i].Load(); eng != nil {
+			out = append(out, eng)
+		}
+	}
+	return out
+}
+
+// pin implements shardSet: the current snapshot of every populated shard.
+// The front end loads the shard map AFTER this, and writers publish map
+// entries before engine snapshots, so every local ID a pinned snapshot can
+// return is translatable. Of several shards, empty ones are skipped (their
+// querier would refuse the empty index); a single shard is always pinned,
+// so its own errors are the answer.
+func (ls *localSet) pin() []shardClient {
+	cs := make([]shardClient, 0, len(ls.slots))
+	for i := range ls.slots {
+		eng := ls.slots[i].Load()
+		if eng == nil {
+			continue
+		}
+		sn := eng.snap.Load()
+		if len(ls.slots) > 1 && sn.ix.Len() == 0 {
+			continue
+		}
+		cs = append(cs, localShard{ls: ls, shard: i, eng: eng, sn: sn})
+	}
+	return cs
+}
+
+// writer implements shardSet: in-memory shards always accept writes.
+func (ls *localSet) writer(s int) (shardClient, error) {
+	return localShard{ls: ls, shard: s, eng: ls.slots[s].Load()}, nil
+}
+
+// Shards returns the shard count.
+func (ls *localSet) Shards() int { return len(ls.slots) }
+
+// Len returns the number of live points across all shards.
+func (ls *localSet) Len() int {
+	n := 0
+	for _, eng := range ls.engines() {
+		n += eng.Len()
+	}
+	return n
+}
+
+// ShardStats reports per-shard size and traffic counters, the monitoring
+// surface behind the server's /statsz shards section.
+func (ls *localSet) ShardStats() []ShardInfo {
+	out := make([]ShardInfo, len(ls.slots))
+	for i := range ls.slots {
+		out[i] = ShardInfo{Shard: i}
+		if eng := ls.slots[i].Load(); eng != nil {
+			out[i].Points = eng.Len()
+			out[i].Queries = eng.queries.Load()
+		}
+	}
+	return out
+}
+
 // MemtableLen returns the delta-overlay memtable rows awaiting compaction,
 // summed across shards.
-func (ss *ShardedSearcher) MemtableLen() int {
+func (ls *localSet) MemtableLen() int {
 	n := 0
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			n += eng.MemtableLen()
-		}
+	for _, eng := range ls.engines() {
+		n += eng.MemtableLen()
 	}
 	return n
 }
 
 // Compactions returns the delta-overlay compactions performed, summed
 // across shards.
-func (ss *ShardedSearcher) Compactions() int64 {
+func (ls *localSet) Compactions() int64 {
 	var n int64
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			n += eng.Compactions()
-		}
+	for _, eng := range ls.engines() {
+		n += eng.Compactions()
 	}
 	return n
 }
 
 // QuantFiltered reports whether the quantized candidate pre-filter is
 // active on the shards.
-func (ss *ShardedSearcher) QuantFiltered() bool { return ss.quant }
+func (ls *localSet) QuantFiltered() bool { return ls.quant }
 
 // QuantFilterStats returns the quantized pre-filter's monotone lifetime
 // totals summed across shards: candidate rows admitted to exact
 // verification and rows screened out by the quantized lower bounds.
-func (ss *ShardedSearcher) QuantFilterStats() (admitted, screened int64) {
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			a, s := eng.QuantFilterStats()
-			admitted += a
-			screened += s
-		}
+func (ls *localSet) QuantFilterStats() (admitted, screened int64) {
+	for _, eng := range ls.engines() {
+		a, s := eng.QuantFilterStats()
+		admitted += a
+		screened += s
 	}
 	return admitted, screened
 }
 
-// buildShardEngine builds a fresh engine holding copies of pts, for a
-// shard that never held a point until now.
-func (ss *ShardedSearcher) buildShardEngine(shard int, pts [][]float64) (*Searcher, error) {
-	cp := make([][]float64, len(pts))
-	for i, p := range pts {
-		cp[i] = vecmath.Clone(p)
-	}
-	ix, err := harness.BuildBackend(string(ss.backend), cp, ss.metric)
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
-	}
-	return ss.newShardEngine(ix), nil
-}
-
-// pin implements shardSet: the current snapshot of every non-empty shard.
-// The front end loads the shard map AFTER this, and writers publish map
-// entries before engine snapshots, so every local ID a pinned snapshot can
-// return is translatable.
-func (ss *ShardedSearcher) pin() []shardClient {
-	cs := make([]shardClient, 0, len(ss.slots))
-	for i, slot := range ss.slots {
-		eng := slot.eng.Load()
-		if eng == nil {
-			continue
-		}
-		sn := eng.snap.Load()
-		if sn.ix.Len() == 0 {
-			continue
-		}
-		cs = append(cs, localShard{ss: ss, shard: i, eng: eng, sn: sn})
-	}
-	return cs
-}
-
-// writer implements shardSet: in-memory shards always accept writes.
-func (ss *ShardedSearcher) writer(s int) (shardClient, error) {
-	return localShard{ss: ss, shard: s, eng: ss.slots[s].eng.Load()}, nil
-}
-
 // shardSet is the transport-specific half of a front end: how it reaches
-// its shards. ShardedSearcher and DurableShardedSearcher implement it over
-// in-process shards, Coordinator over shard daemons.
+// its shards. localSet implements it over in-process engines, durableSet
+// over their write-ahead-logged stores, Coordinator over shard daemons.
 type shardSet interface {
 	// pin returns the read set of one query or batch: a client over every
 	// shard that holds live points, each answering from one consistent view.
@@ -368,14 +356,23 @@ type shardSet interface {
 	writer(s int) (shardClient, error)
 }
 
-// frontEnd is the one scatter-gather engine behind ShardedSearcher and
-// Coordinator: the RkNN and kNN entry points, the batch pool, query
-// validation, the per-query telemetry and trace spans, and the write path —
-// hash routing (index.ShardOf), shard-map publish and roll-back, the
-// local-ID check, and poisoning. Where the shards live is behind set; what
-// differs per transport lives in the shard clients (shard_client.go).
+// frontEnd is the one query engine behind all five engine types —
+// Searcher and DurableSearcher (one in-process shard), ShardedSearcher and
+// DurableShardedSearcher (S of them) and Coordinator (S shard daemons):
+// the RkNN and kNN entry points, the batch pool, query validation, the
+// per-query telemetry and trace spans, and the write path — hash routing
+// (index.ShardOf), shard-map publish and roll-back, the local-ID check,
+// and poisoning. Where the shards live is behind set; what differs per
+// transport lives in the shard clients (shard_client.go).
 type frontEnd struct {
-	set     shardSet
+	set shardSet
+	// loc holds the in-process engines behind set (nil for a Coordinator):
+	// the telemetry, tracing and monitoring surfaces read them.
+	loc *localSet
+	// sharded marks an engine that presents its shards: per-shard
+	// telemetry and shard-numbered write errors. A Searcher's one-shard set
+	// presents none of them.
+	sharded bool
 	metric  Metric
 	dim     int
 	scale   float64
@@ -400,19 +397,35 @@ type frontEnd struct {
 	shardTel atomic.Pointer[[]*shardTelemetry]
 }
 
-// Scale returns the scale parameter t in effect on every shard (0 when
-// adaptive).
+// newFrontEnd returns the front end over the in-process set ls, publishing
+// the shard map m.
+func newFrontEnd(ls *localSet, dim int, sharded, dynamic bool, m *index.ShardMap) *frontEnd {
+	e := &frontEnd{set: ls, loc: ls, sharded: sharded, metric: ls.metric, dim: dim, scale: ls.scale, backend: ls.backend, dynamic: dynamic}
+	e.smap.Store(m)
+	return e
+}
+
+// Scale returns the scale parameter t in effect (0 when the engine adapts
+// t online per query, WithAdaptiveScale).
 func (e *frontEnd) Scale() float64 { return e.scale }
 
-// Backend returns the forward-index back-end of the shards.
+// Backend returns the forward-index back-end the engine was built (or
+// restored) with.
 func (e *frontEnd) Backend() Backend { return e.backend }
 
 // Dim returns the dimensionality of the indexed points.
 func (e *frontEnd) Dim() int { return e.dim }
 
+// Approximate reports whether queries run in the approximate regime: the
+// back-end streams candidate rankings that may miss true neighbors
+// (BackendLSH), so results are not guaranteed exact at any scale parameter.
+// The scatter-gather merge is exact relative to the per-shard candidate
+// sets, so a sharded engine's approximation is exactly its shards'.
+func (e *frontEnd) Approximate() bool { return e.backend == BackendLSH }
+
 // scatter pins a read set: shard clients first, then the shard map (see
-// ShardedSearcher.pin for why the order matters), plus the per-shard
-// telemetry hook when enabled.
+// localSet.pin for why the order matters), plus the per-shard telemetry
+// hook when enabled.
 func (e *frontEnd) scatter() *scatterSet {
 	clients := e.set.pin()
 	sc := &scatterSet{clients: clients, m: e.smap.Load(), metric: e.metric, dim: e.dim}
@@ -423,13 +436,18 @@ func (e *frontEnd) scatter() *scatterSet {
 	return sc
 }
 
-// scatterCtx is scatter under a "facade.pin" span when ctx is traced.
-func (e *frontEnd) scatterCtx(ctx context.Context) *scatterSet {
+// scatterCtx is scatter under a "facade.pin" span when ctx is traced;
+// members > 0 records a batch's size.
+func (e *frontEnd) scatterCtx(ctx context.Context, op string, members int) *scatterSet {
 	psp := trace.FromContext(ctx).Child("facade.pin")
 	sc := e.scatter()
 	if psp != nil {
 		psp.SetStr("backend", string(e.backend))
+		psp.SetStr("op", op)
 		psp.SetInt("shards_pinned", int64(len(sc.clients)))
+		if members > 0 {
+			psp.SetInt("members", int64(members))
+		}
 		if e.scale > 0 {
 			psp.SetFloat("scale", e.scale)
 		}
@@ -438,98 +456,81 @@ func (e *frontEnd) scatterCtx(ctx context.Context) *scatterSet {
 	return sc
 }
 
-// ReverseKNN returns the global IDs of the dataset members that have
-// member qid among their k nearest neighbors, sorted ascending. The member
-// itself is excluded.
+// ReverseKNN returns the IDs of the dataset members that have member qid
+// among their k nearest neighbors, sorted ascending. The member itself is
+// excluded.
 func (e *frontEnd) ReverseKNN(qid, k int) ([]int, error) {
-	return e.ReverseKNNContext(context.Background(), qid, k)
-}
-
-// ReverseKNNContext is ReverseKNN with a context. When ctx carries a trace
-// span, the scatter records one "shard.scatter" child per shard (each
-// containing that shard's core stage spans, or its remote.call hops) and
-// the cross-shard re-verification a "shard.merge" span; an untraced
-// context costs one nil check per layer.
-func (e *frontEnd) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
-	ids, _, err := e.reverseKNN(ctx, e.scatterCtx(ctx), qid, nil, k, opRkNN)
+	ids, _, err := e.rknn(context.Background(), qid, nil, k, opRkNN)
 	return ids, err
 }
 
-// ReverseKNNStats is ReverseKNN with aggregated per-query work counters
-// (summed across shards; Omega is the tightest shard bound).
+// ReverseKNNContext is ReverseKNN with a context. When ctx carries a trace
+// span (internal/trace), the query's facade, core and index stages hang
+// their spans off it — on a sharded engine one "shard.scatter" child per
+// shard (each holding that shard's core stage spans, or its remote.call
+// hops) and a "shard.merge" span for the cross-shard re-verification; an
+// untraced context costs one nil check per layer.
+func (e *frontEnd) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
+	ids, _, err := e.rknn(ctx, qid, nil, k, opRkNN)
+	return ids, err
+}
+
+// ReverseKNNStats is ReverseKNN with the per-query work counters (on a
+// sharded engine summed across shards; Omega is the tightest shard bound).
 func (e *frontEnd) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
-	return e.ReverseKNNStatsContext(context.Background(), qid, k)
+	return e.rknn(context.Background(), qid, nil, k, opRkNN)
 }
 
 // ReverseKNNStatsContext is ReverseKNNStats with a context, traced like
 // ReverseKNNContext.
 func (e *frontEnd) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
-	return e.reverseKNN(ctx, e.scatterCtx(ctx), qid, nil, k, opRkNN)
+	return e.rknn(ctx, qid, nil, k, opRkNN)
 }
 
 // ReverseKNNPoint answers the query for an arbitrary point, which need not
 // be a dataset member.
 func (e *frontEnd) ReverseKNNPoint(q []float64, k int) ([]int, error) {
-	return e.ReverseKNNPointContext(context.Background(), q, k)
+	ids, _, err := e.rknn(context.Background(), -1, q, k, opRkNNPoint)
+	return ids, err
 }
 
 // ReverseKNNPointContext is ReverseKNNPoint with a context, traced like
 // ReverseKNNContext.
 func (e *frontEnd) ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error) {
-	ids, _, err := e.reverseKNN(ctx, e.scatterCtx(ctx), -1, q, k, opRkNNPoint)
+	ids, _, err := e.rknn(ctx, -1, q, k, opRkNNPoint)
 	return ids, err
 }
 
-// ReverseKNNPointStats is ReverseKNNPoint with the aggregated counters.
+// ReverseKNNPointStats is ReverseKNNPoint with the per-query work counters.
 func (e *frontEnd) ReverseKNNPointStats(q []float64, k int) ([]int, Stats, error) {
-	return e.ReverseKNNPointStatsContext(context.Background(), q, k)
+	return e.rknn(context.Background(), -1, q, k, opRkNNPoint)
 }
 
 // ReverseKNNPointStatsContext is ReverseKNNPointStats with a context,
 // traced like ReverseKNNContext.
 func (e *frontEnd) ReverseKNNPointStatsContext(ctx context.Context, q []float64, k int) ([]int, Stats, error) {
-	return e.reverseKNN(ctx, e.scatterCtx(ctx), -1, q, k, opRkNNPoint)
+	return e.rknn(ctx, -1, q, k, opRkNNPoint)
 }
 
-// reverseKNN is the scatter-gather RkNN query over a pinned read set —
-// the generic algorithm of scatterSet.reverseKNN plus the telemetry. qid
-// >= 0 anchors the query at a member (q is then looked up); qid < 0
-// queries the arbitrary point q. op labels the query in the engine
-// telemetry (batch members record per query here, unlike the unsharded
-// batch, whose pool hides per-member timing; they also leave the latency
-// histogram and the workload sketch to the batch call itself, matching the
-// unsharded engine's semantics).
-func (e *frontEnd) reverseKNN(ctx context.Context, sc *scatterSet, qid int, q []float64, k int, op string) ([]int, Stats, error) {
+// rknn runs one RkNN query over a freshly pinned read set with tracing and
+// telemetry. qid >= 0 anchors the query at a member (q is then looked up);
+// qid < 0 queries the arbitrary point q.
+func (e *frontEnd) rknn(ctx context.Context, qid int, q []float64, k int, op string) ([]int, Stats, error) {
 	tel := e.tel.Load()
 	var begin time.Time
 	if tel != nil {
 		begin = time.Now()
 	}
-	ids, st, resolvedQ, err := sc.reverseKNN(ctx, qid, q, k)
+	ids, st, resolvedQ, err := e.scatterCtx(ctx, op, 0).reverseKNN(ctx, qid, q, k)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, fmt.Errorf("rknnd: %w", err)
 	}
 	if tel != nil {
-		tel.countQueries(op, 1)
-		d := time.Since(begin)
-		at := begin.Add(d)
-		if op != opBatch {
-			tel.ops[op].window.Observe(d.Seconds(), at)
-		}
+		at := tel.observeOp(op, 1, begin)
 		tel.observeStats(st, at)
-		// Batch members skip the sketch like the unsharded engine: the
-		// pool hides per-member timing, and one batch would flood the
-		// top-K with its members' cells.
-		if op != opBatch {
-			tel.observeWorkload(op, k, resolvedQ, st, d, at)
-		}
+		tel.observeWorkload(op, k, resolvedQ, st, at.Sub(begin), at)
 	}
 	return ids, st, nil
-}
-
-// wrapShardErr prefixes shard-level errors with the facade's rknnd tag.
-func wrapShardErr(err error) error {
-	return fmt.Errorf("rknnd: %w", err)
 }
 
 // checkPoint validates a query or insert point against the metric and the
@@ -544,15 +545,18 @@ func (e *frontEnd) checkPoint(p []float64, what string) error {
 	return nil
 }
 
-// KNN returns the k global forward nearest neighbors of an arbitrary point
-// in ascending (distance, ID) order — the per-shard top-k lists k-way
-// merged.
+// KNN returns the k forward nearest neighbors of an arbitrary point as
+// (id, distance) pairs in ascending distance order — the ordinary
+// similarity query, exposed because reverse-neighbor applications almost
+// always need it too. A sharded engine k-way merges the per-shard top-k
+// lists under the (distance, ID) order.
 func (e *frontEnd) KNN(q []float64, k int) ([]Neighbor, error) {
 	return e.KNNContext(context.Background(), q, k)
 }
 
-// KNNContext is KNN with a context; a traced context records one
-// "core.knn" root stage with per-shard "shard.scatter" children.
+// KNNContext is KNN with a context; a traced request records the forward
+// search as one "core.knn" span (with per-shard "shard.scatter" children on
+// a sharded engine).
 func (e *frontEnd) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
 	tel := e.tel.Load()
 	var begin time.Time
@@ -569,16 +573,19 @@ func (e *frontEnd) KNNContext(ctx context.Context, q []float64, k int) ([]Neighb
 	if err := e.checkPoint(q, "query"); err != nil {
 		return nil, err
 	}
-	merged, err := e.scatter().knn(ctx, q, k)
+	nn, err := e.scatter().knn(ctx, q, k)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rknnd: %w", err)
 	}
-	out := make([]Neighbor, len(merged))
-	for i, nb := range merged {
+	out := make([]Neighbor, len(nn))
+	for i, nb := range nn {
 		out[i] = Neighbor{ID: nb.ID, Dist: nb.Dist}
 	}
 	if tel != nil {
-		tel.observeOp(opKNN, 1, begin)
+		at := tel.observeOp(opKNN, 1, begin)
+		// Forward queries carry no pruning stats, but they are traffic with
+		// a region: the sketch sees them with zeroed accumulators.
+		tel.observeWorkload(opKNN, k, q, Stats{}, at.Sub(begin), at)
 	}
 	return out, nil
 }
@@ -586,54 +593,55 @@ func (e *frontEnd) KNNContext(ctx context.Context, q []float64, k int) ([]Neighb
 // BatchReverseKNN answers many member queries concurrently on a worker
 // pool (0 workers selects all cores; the pool is capped at the batch
 // length and at GOMAXPROCS) and returns the per-query ID lists in input
-// order. The first per-query error aborts the batch.
+// order. Every member runs; the first failed member in input order fails
+// the batch.
 func (e *frontEnd) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) {
 	return e.BatchReverseKNNContext(context.Background(), qids, k, workers)
 }
 
-// BatchReverseKNNContext is BatchReverseKNN with cancellation. The whole
-// batch runs against one pinned read set, so in-process results are
-// mutually consistent even while Insert/Delete run concurrently. The pool
-// scaffolding is core.ForEach — the same clamps and cancellation contract
-// as the single-engine batch.
+// BatchReverseKNNContext is BatchReverseKNN with cancellation: when ctx is
+// cancelled mid-batch the pool stops dispatching, drains its in-flight
+// queries, and returns ctx's error. The whole batch runs against one
+// pinned read set, so in-process results are mutually consistent even
+// while Insert/Delete run concurrently. Members count individually in the
+// query telemetry and the latency histogram observes the batch call once;
+// batch members skip the workload sketch (one batch would flood its top-K
+// with its members' cells).
 func (e *frontEnd) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
 	tel := e.tel.Load()
 	var begin time.Time
 	if tel != nil {
 		begin = time.Now()
 	}
-	sc := e.scatter()
+	sc := e.scatterCtx(ctx, opBatch, len(qids))
+	if k <= 0 {
+		return nil, fmt.Errorf("rknnd: core: K must be positive, got %d", k)
+	}
 	out := make([][]int, len(qids))
+	stats := make([]Stats, len(qids))
 	errs := make([]error, len(qids))
 	err := core.ForEach(ctx, len(qids), workers, func(ctx context.Context, i int) error {
-		ids, _, err := e.reverseKNN(ctx, sc, qids[i], nil, k, opBatch)
-		if err != nil {
-			errs[i] = err
-			return err
-		}
-		out[i] = ids
-		return nil
+		out[i], stats[i], _, errs[i] = sc.reverseKNN(ctx, qids[i], nil, k)
+		return nil // per-member errors are data, not pool failures
 	})
 	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		for i, qerr := range errs {
-			if qerr != nil && !errors.Is(qerr, context.Canceled) {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], qerr)
-			}
-		}
-		for i, qerr := range errs {
-			if qerr != nil {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], qerr)
-			}
-		}
-		return nil, fmt.Errorf("rknnd: %w", err) // invalid arguments (negative workers)
+		return nil, fmt.Errorf("rknnd: %w", err)
 	}
 	if tel != nil {
-		// Members already counted themselves in reverseKNN; the batch call
-		// contributes the single latency observation.
-		tel.observeLatency(opBatch, begin)
+		succeeded := 0
+		at := tel.observeLatency(opBatch, begin)
+		for i, qerr := range errs {
+			if qerr == nil {
+				succeeded++
+				tel.observeStats(stats[i], at)
+			}
+		}
+		tel.countQueries(opBatch, succeeded)
+	}
+	for i, qerr := range errs {
+		if qerr != nil {
+			return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], qerr)
+		}
 	}
 	return out, nil
 }
@@ -665,19 +673,25 @@ func (e *frontEnd) poison(format string, args ...any) error {
 	return e.broken
 }
 
-// Insert adds a point to its hash-assigned shard and returns its new
-// global ID. Requires a dynamic back-end (BackendCoverTree, BackendScan,
-// BackendLSH). The shard map is published before the shard write, so a
+// Insert adds a point and returns its new ID, when the back-end supports
+// dynamic updates (BackendCoverTree, BackendScan and BackendLSH do). The
+// paper highlights this property for data warehouse and stream scenarios
+// (Section 4). The point goes to its hash-assigned shard, whose engine
+// clones only its delta overlay (O(delta), not O(n)) and publishes the
+// clone with one atomic swap; updates are serialized, queries never
+// blocked. The shard map is published before the shard write, so a
 // concurrent query either sees neither or can translate everything it sees
 // (an ID caught in that window answers as not-found until the insert
-// completes).
+// completes). On a durable engine the write is logged before it is
+// acknowledged; a log failure returns an error and disables the store's
+// writes, while the applied point stays visible until restart.
 func (e *frontEnd) Insert(p []float64) (int, error) {
 	return e.InsertContext(context.Background(), p)
 }
 
 // InsertContext is Insert with a context; a traced context records a
 // "facade.apply" span covering the lock, shard-map clone, and shard
-// mutation.
+// mutation (and beneath it a durable engine's WAL append and fsync).
 func (e *frontEnd) InsertContext(ctx context.Context, p []float64) (int, error) {
 	tel := e.tel.Load()
 	var begin time.Time
@@ -724,10 +738,9 @@ func (e *frontEnd) insert(ctx context.Context, p []float64) (int, error) {
 	return g, err
 }
 
-// Delete removes the dataset member with the given global ID, reporting
-// whether it was present. Requires a dynamic back-end. The shard map keeps
-// the ID forever (tombstones live in the shard index), so global IDs are
-// never reused.
+// Delete removes the dataset member with the given ID, reporting whether
+// it was present. Requires a dynamic back-end. The shard map keeps the ID
+// forever (tombstones live in the shard index), so IDs are never reused.
 func (e *frontEnd) Delete(global int) (bool, error) {
 	return e.DeleteContext(context.Background(), global)
 }
@@ -768,13 +781,14 @@ func (e *frontEnd) delete(ctx context.Context, global int) (bool, error) {
 // InsertBatch adds many points in one write step: one shard-map clone, one
 // lock acquisition, and one write per involved shard (in process: one
 // overlay clone and, on a durable engine, one WAL append with at most one
-// fsync). IDs are returned in input order. The batch is atomic in the
-// common case; a failure applying one shard's group after the map is
-// published (a disk fault or a failed daemon mid-batch) leaves the other
-// groups visible, returns the IDs with the error, and — when the group was
-// not applied — permanently poisons the write path rather than let the
-// shard map's local-ID accounting diverge from the shards (reads stay
-// correct; the orphaned IDs answer as not-found).
+// fsync). IDs are returned in input order. An empty batch is a no-op. On
+// one shard the batch is atomic: every point is inserted or none is
+// visible. Across shards, a failure applying one shard's group after the
+// map is published (a disk fault or a failed daemon mid-batch) leaves the
+// other groups visible, returns the IDs with the error, and — when the
+// group was not applied — permanently poisons the write path rather than
+// let the shard map's local-ID accounting diverge from the shards (reads
+// stay correct; the orphaned IDs answer as not-found).
 func (e *frontEnd) InsertBatch(points [][]float64) ([]int, error) {
 	return e.InsertBatchContext(context.Background(), points)
 }
@@ -861,17 +875,26 @@ func (e *frontEnd) insertBatch(ctx context.Context, points [][]float64) ([]int, 
 			// The map now names IDs no shard holds; a later insert to this
 			// shard would receive a local ID the map has already spent.
 			e.poison("batch left shard %d inconsistent: %w", s, err)
-			err = fmt.Errorf("rknnd: batch shard %d: %w", s, err)
+			err = e.shardErr("batch shard", s, err)
 		case !sameLocals(got, idx, locals):
 			err = e.poison("shard %d assigned local ids %v, shard map expected %d onwards", s, got, locals[idx[0]])
 		case err != nil:
-			err = fmt.Errorf("rknnd: batch shard %d: %w", s, err) // applied but not durably logged
+			err = e.shardErr("batch shard", s, err) // applied but not durably logged
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
 	return ids, firstErr
+}
+
+// shardErr names shard s in err on a sharded engine; a one-shard engine
+// reports its engine's error as is.
+func (e *frontEnd) shardErr(what string, s int, err error) error {
+	if !e.sharded {
+		return err
+	}
+	return fmt.Errorf("rknnd: %s %d: %w", what, s, err)
 }
 
 // sameLocals reports whether a shard acknowledged a batch group under

@@ -12,22 +12,22 @@ import (
 )
 
 // This file makes "a shard" an interface instead of a struct: the one
-// scatter-gather front end of shard.go (frontEnd, behind both
-// ShardedSearcher and Coordinator) talks to shardClient, and the
-// implementations — localShard over an in-process shard (below),
-// durableShard over its write-ahead-logged store (shard_persist.go) and
-// remoteShard over HTTP (shard_remote.go) — answer the same calls. The
-// exact-merge argument in shard.go never mentions where a shard's index
-// lives, so the algorithm is written once here and a Coordinator over
-// networked daemons returns byte-identical answers to a ShardedSearcher
-// over goroutines (cluster conformance suite,
-// internal/server/cluster_test.go).
+// front end of shard.go (frontEnd, behind all five engine types) talks to
+// shardClient, and the implementations — localShard over an in-process
+// engine (below), durableShard over its write-ahead-logged store
+// (shard_persist.go) and remoteShard over HTTP (shard_remote.go) — answer
+// the same calls. A Searcher is the one-shard case: its set pins one
+// localShard, whose answer is the global answer. The exact-merge argument
+// in shard.go never mentions where a shard's index lives, so the
+// algorithm is written once here and a Coordinator over networked daemons
+// returns byte-identical answers to a ShardedSearcher over goroutines
+// (cluster conformance suite, internal/server/cluster_test.go).
 //
 // All IDs crossing the interface are shard-local; the front end owns the
 // ShardMap, and it and its scatter sets are the only layers that
-// translate. Verification is batched
-// per shard (Points and KNNBatch take slices) so a remote shard costs a
-// constant number of round trips per query, not one per candidate.
+// translate. Verification is batched per shard (Points and KNNBatch take
+// slices) so a remote shard costs a constant number of round trips per
+// query, not one per candidate.
 //
 // The write calls report shard-local IDs and whether the mutation was
 // applied; the front end checks the IDs against the map and decides what
@@ -98,20 +98,20 @@ func livePoint(ix index.Index, l int) []float64 {
 	return ix.Point(l)
 }
 
-// localShard is one shard of a ShardedSearcher. A read client pins the
-// shard's engine and snapshot when the read set is taken; a write client
-// (ShardedSearcher.writer) carries the engine current under the write
-// lock, nil while the shard has never held a point, and applies writes to
-// it directly.
+// localShard is one in-process shard. A read client pins the shard's
+// engine and snapshot when the read set is taken; a write client
+// (localSet.writer) carries the engine current under the write lock, nil
+// while the shard has never held a point, and applies writes to it
+// directly.
 type localShard struct {
-	ss    *ShardedSearcher
+	ls    *localSet
 	shard int
-	eng   *Searcher
+	eng   *engine
 	sn    *snapshot // pinned view; reads only
 }
 
 func (l localShard) Shard() int  { return l.shard }
-func (l localShard) CountQuery() { l.ss.slots[l.shard].queries.Add(1) }
+func (l localShard) CountQuery() { l.eng.queries.Add(1) }
 
 func (l localShard) ReverseKNNByID(ctx context.Context, local, k int) ([]int, core.Stats, error) {
 	qr, err := l.sn.querier(l.eng, k)
@@ -154,49 +154,30 @@ func (l localShard) KNNBatch(_ context.Context, probes []knnProbe) ([][]index.Ne
 }
 
 func (l localShard) Insert(ctx context.Context, p []float64) (int, bool, error) {
-	if l.eng == nil {
-		_, err := l.create([][]float64{p})
-		return 0, err == nil, err
+	ids, applied, err := l.InsertBatch(ctx, [][]float64{p})
+	if !applied {
+		return 0, false, err
 	}
-	id, err := l.eng.InsertContext(ctx, p)
-	return id, err == nil, err
+	return ids[0], true, nil
 }
 
-func (l localShard) InsertBatch(ctx context.Context, pts [][]float64) ([]int, bool, error) {
+func (l localShard) InsertBatch(_ context.Context, pts [][]float64) ([]int, bool, error) {
 	if l.eng == nil {
-		ids, err := l.create(pts)
-		return ids, err == nil, err
+		eng, err := l.ls.build(l.shard, pts)
+		if err != nil {
+			return nil, false, err
+		}
+		return l.ls.publish(l.shard, eng, len(pts)), true, nil
 	}
-	ids, err := l.eng.InsertBatchContext(ctx, pts)
+	ids, err := l.eng.insert(pts)
 	return ids, err == nil, err
 }
 
-func (l localShard) Delete(ctx context.Context, local int) (bool, error) {
+func (l localShard) Delete(_ context.Context, local int) (bool, error) {
 	if l.eng == nil {
 		return false, nil
 	}
-	return l.eng.DeleteContext(ctx, local)
-}
-
-// create populates a shard that never held a point with a fresh engine
-// over pts.
-func (l localShard) create(pts [][]float64) ([]int, error) {
-	eng, err := l.ss.buildShardEngine(l.shard, pts)
-	if err != nil {
-		return nil, err
-	}
-	return l.publish(eng, len(pts)), nil
-}
-
-// publish installs a freshly built engine of n points on the shard and
-// returns the local IDs it assigned them, 0..n-1.
-func (l localShard) publish(eng *Searcher, n int) []int {
-	l.ss.slots[l.shard].eng.Store(eng)
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
+	return l.eng.delete(local)
 }
 
 // scatterSet is a pinned set of shard clients plus the shard map that
@@ -219,16 +200,20 @@ type scatterSet struct {
 // out-of-range values fail like the unsharded engine's); a non-nil q
 // queries that arbitrary point (qid is then ignored, pass -1). Returns the
 // merged global IDs, the aggregated work counters, and the resolved query
-// point (for workload telemetry).
+// point (for workload telemetry). Errors carry no "rknnd: " prefix: the
+// front end adds it, or names the batch member.
 func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k int) ([]int, Stats, []float64, error) {
 	if k <= 0 {
-		return nil, Stats{}, nil, fmt.Errorf("rknnd: core: K must be positive, got %d", k)
+		return nil, Stats{}, nil, fmt.Errorf("core: K must be positive, got %d", k)
+	}
+	if len(sc.clients) == 1 && sc.m.Shards() == 1 {
+		return sc.whole(ctx, qid, q, k)
 	}
 	homeLocal, home := -1, -1
 	if q == nil {
 		s, l, ok := sc.m.Locate(qid)
 		if !ok {
-			return nil, Stats{}, nil, fmt.Errorf("rknnd: core: query id %d out of range [0,%d)", qid, sc.m.Len())
+			return nil, Stats{}, nil, fmt.Errorf("core: query id %d out of range [0,%d)", qid, sc.m.Len())
 		}
 		homeLocal = l
 		for i, c := range sc.clients {
@@ -240,22 +225,22 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 		if home < 0 {
 			// The member's shard pinned empty (or unpublished): every copy
 			// of the point this read set can see is gone.
-			return nil, Stats{}, nil, fmt.Errorf("rknnd: core: query id %d: %w", qid, ErrDeleted)
+			return nil, Stats{}, nil, fmt.Errorf("core: query id %d: %w", qid, ErrDeleted)
 		}
 		rows, err := sc.clients[home].Points(ctx, []int{l})
 		if err != nil {
-			return nil, Stats{}, nil, wrapShardErr(err)
+			return nil, Stats{}, nil, err
 		}
 		if len(rows) != 1 || rows[0] == nil {
-			return nil, Stats{}, nil, fmt.Errorf("rknnd: core: query id %d: %w", qid, ErrDeleted)
+			return nil, Stats{}, nil, fmt.Errorf("core: query id %d: %w", qid, ErrDeleted)
 		}
 		q = rows[0]
 	} else {
 		if err := vecmath.ValidateFor(sc.metric, q); err != nil {
-			return nil, Stats{}, nil, fmt.Errorf("rknnd: %w", err)
+			return nil, Stats{}, nil, err
 		}
 		if len(q) != sc.dim {
-			return nil, Stats{}, nil, fmt.Errorf("rknnd: query dimension %d, index dimension %d", len(q), sc.dim)
+			return nil, Stats{}, nil, fmt.Errorf("query dimension %d, index dimension %d", len(q), sc.dim)
 		}
 	}
 
@@ -309,7 +294,7 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 		return nil
 	})
 	if err != nil {
-		return nil, Stats{}, nil, wrapShardErr(err)
+		return nil, Stats{}, nil, err
 	}
 	if sc.onStats != nil {
 		for i, r := range results {
@@ -333,11 +318,10 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 		}
 	}
 
-	// One populated shard holds the entire dataset, so its answer is
-	// definitionally the global answer — the same algorithm an unsharded
-	// engine runs. Verification below is only the cross-shard merge step;
-	// skipping it here makes a single-shard set byte-identical to a
-	// Searcher (and avoids one kNN pass per candidate).
+	// One populated shard holds the entire live dataset, so its answer is
+	// definitionally the global answer. Verification below is only the
+	// cross-shard merge step; skipping it avoids one kNN pass per
+	// candidate.
 	if len(results) == 1 {
 		return results[0].globals, stats, q, nil
 	}
@@ -362,6 +346,43 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 	return ids, stats, q, nil
 }
 
+// whole answers on a one-shard set: the shard holds the entire dataset
+// and its local IDs are the global IDs, so its answer — errors included —
+// is the global answer, exactly as the unsharded algorithm computes it.
+// The query runs inline, with no scatter goroutine, span, merge or
+// re-verification.
+func (sc *scatterSet) whole(ctx context.Context, qid int, q []float64, k int) ([]int, Stats, []float64, error) {
+	c := sc.clients[0]
+	c.CountQuery()
+	var (
+		ids []int
+		st  core.Stats
+		err error
+	)
+	if q == nil {
+		// Out-of-range IDs fail here, as the engine would fail them: a
+		// remote shard's wire cannot carry a negative ID.
+		if _, _, ok := sc.m.Locate(qid); !ok {
+			return nil, Stats{}, nil, fmt.Errorf("core: query id %d out of range [0,%d)", qid, sc.m.Len())
+		}
+		ids, st, err = c.ReverseKNNByID(ctx, qid, k)
+	} else {
+		ids, st, err = c.ReverseKNNByPoint(ctx, q, k)
+	}
+	if err != nil {
+		return nil, Stats{}, nil, err
+	}
+	if sc.onStats != nil {
+		sc.onStats(0, st)
+	}
+	if q == nil {
+		if rows, err := c.Points(ctx, []int{qid}); err == nil && len(rows) == 1 {
+			q = rows[0]
+		}
+	}
+	return ids, fromCore(st), q, nil
+}
+
 // verify runs the refinement test d_k(x) >= d(q,x) for every candidate x
 // against the union of all shards: per-shard forward kNN at x, k-way
 // merged under the (distance, ID) order. The per-shard work is batched —
@@ -384,11 +405,11 @@ func (sc *scatterSet) verify(ctx context.Context, candidates []int, q []float64,
 	for j, g := range candidates {
 		s, l, ok := sc.m.Locate(g)
 		if !ok {
-			return nil, fmt.Errorf("rknnd: candidate id %d not in shard map", g)
+			return nil, fmt.Errorf("candidate id %d not in shard map", g)
 		}
 		ci, ok := clientByShard[s]
 		if !ok {
-			return nil, fmt.Errorf("rknnd: candidate id %d has no pinned shard", g)
+			return nil, fmt.Errorf("candidate id %d has no pinned shard", g)
 		}
 		homeOf[j], localOf[j] = ci, l
 	}
@@ -424,11 +445,11 @@ func (sc *scatterSet) verify(ctx context.Context, candidates []int, q []float64,
 		return nil
 	})
 	if err != nil {
-		return nil, wrapShardErr(err)
+		return nil, err
 	}
 	for j := range candidates {
 		if px[j] == nil {
-			return nil, fmt.Errorf("rknnd: candidate id %d has no pinned shard", candidates[j])
+			return nil, fmt.Errorf("candidate id %d has no pinned shard", candidates[j])
 		}
 	}
 
@@ -468,7 +489,7 @@ func (sc *scatterSet) verify(ctx context.Context, candidates []int, q []float64,
 		return nil
 	})
 	if err != nil {
-		return nil, wrapShardErr(err)
+		return nil, err
 	}
 
 	per := make([][]index.Neighbor, len(sc.clients))
@@ -490,9 +511,22 @@ func (sc *scatterSet) verify(ctx context.Context, candidates []int, q []float64,
 
 // knn is the scatter-gather forward-kNN query: per-shard top-k lists,
 // k-way merged to global top-k. The caller validates q and owns the
-// "core.knn" span (bound into ctx); each shard records a "shard.scatter"
-// child.
+// "core.knn" span (bound into ctx); each shard of several records a
+// "shard.scatter" child.
 func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]index.Neighbor, error) {
+	if len(sc.clients) == 1 && sc.m.Shards() == 1 {
+		// One shard holds the dataset: its ranking is the answer, as is.
+		c := sc.clients[0]
+		c.CountQuery()
+		res, err := c.KNNBatch(ctx, []knnProbe{{q: q, k: k, skip: -1}})
+		if err != nil {
+			return nil, err
+		}
+		if len(res) != 1 {
+			return nil, fmt.Errorf("shard %d returned %d knn lists for 1 probe", c.Shard(), len(res))
+		}
+		return res[0], nil
+	}
 	sp := trace.FromContext(ctx)
 	lists := make([][]index.Neighbor, len(sc.clients))
 	err := core.Gather(ctx, len(sc.clients), func(ctx context.Context, i int) error {
@@ -523,7 +557,7 @@ func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]index.Neig
 		return nil
 	})
 	if err != nil {
-		return nil, wrapShardErr(err)
+		return nil, err
 	}
 	return core.MergeKNN(lists, k, nil), nil
 }

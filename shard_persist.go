@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/index"
 	"repro/internal/persist"
@@ -107,10 +108,9 @@ func writeShardManifest(dir string, shards int) error {
 // their own on-disk store: every Insert and Delete is write-ahead logged in
 // the owning shard's log before being acknowledged, and Snapshot cuts a
 // new generation in every shard store. Queries are served exactly as by
-// the embedded ShardedSearcher. All mutations MUST go through the
-// DurableShardedSearcher (they do automatically — the embedded engine's
-// writes are routed to durableShard clients, which call each shard's
-// DurableSearcher).
+// the embedded ShardedSearcher. Writes go through the embedded engine's
+// front end, whose set is the stores' (durableSet), so they are logged
+// whichever of the two receives them.
 //
 // Relaxed sync caveat: with WithWALSync(0) or n > 1, an OS crash (not a
 // process crash — unsynced appends still reach the OS immediately) can
@@ -122,12 +122,7 @@ func writeShardManifest(dir string, shards int) error {
 // last write — which recovery discards consistently.
 type DurableShardedSearcher struct {
 	*ShardedSearcher
-
-	dir      string
-	walOpts  []StoreOption
-	durables []*DurableSearcher // indexed by shard; nil until first point
-	recovery []RecoveryInfo     // indexed by shard; zero-valued when absent
-	closed   bool               // guarded by the embedded engine's mu
+	*durableSet
 }
 
 // NewDurableSharded binds an existing ShardedSearcher to a fresh sharded
@@ -147,32 +142,25 @@ func NewDurableSharded(dir string, ss *ShardedSearcher, opts ...StoreOption) (*D
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("rknnd: create sharded store in %s: %w", dir, err)
 	}
-	d := &DurableShardedSearcher{
-		ShardedSearcher: ss,
-		dir:             dir,
-		walOpts:         opts,
-		durables:        make([]*DurableSearcher, ss.Shards()),
-		recovery:        make([]RecoveryInfo, ss.Shards()),
-	}
-	for i, slot := range ss.slots {
-		eng := slot.eng.Load()
+	ds := newDurableSet(ss.frontEnd, ss.localSet, dir, opts)
+	for i := range ss.slots {
+		eng := ss.slots[i].Load()
 		if eng == nil {
 			continue
 		}
-		ds, err := NewDurable(shardDirName(dir, i), eng, opts...)
+		de, err := createEngine(shardDirName(dir, i), eng, opts)
 		if err != nil {
-			d.closeStores()
+			ds.closeStores()
 			return nil, fmt.Errorf("rknnd: shard %d: %w", i, err)
 		}
-		d.durables[i] = ds
-		d.recovery[i] = RecoveryInfo{Generation: 1}
+		ds.durables[i], ds.recovery[i] = de, RecoveryInfo{Generation: 1}
 	}
 	if err := writeShardManifest(dir, ss.Shards()); err != nil {
-		d.closeStores()
+		ds.closeStores()
 		return nil, fmt.Errorf("rknnd: commit sharded store manifest: %w", err)
 	}
-	ss.set = d
-	return d, nil
+	ss.set = ds
+	return &DurableShardedSearcher{ShardedSearcher: ss, durableSet: ds}, nil
 }
 
 // OpenSharded recovers a DurableShardedSearcher from the sharded store in
@@ -189,142 +177,239 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 		}
 		return nil, err
 	}
-	d := &DurableShardedSearcher{
-		dir:      dir,
-		walOpts:  opts,
-		durables: make([]*DurableSearcher, shards),
-		recovery: make([]RecoveryInfo, shards),
-	}
+	ds := newDurableSet(nil, nil, dir, opts)
+	ds.durables = make([]*durableEngine, shards)
+	ds.recovery = make([]RecoveryInfo, shards)
 	spans := make([]int, shards)
 	total := 0
-	var proto *Searcher
+	var proto *engine
 	for i := 0; i < shards; i++ {
 		sd := shardDirName(dir, i)
 		if !persist.Exists(sd) {
 			continue
 		}
-		ds, err := Open(sd, opts...)
+		de, info, err := openEngine(sd, opts)
 		if err != nil {
-			d.closeStores()
+			ds.closeStores()
 			return nil, fmt.Errorf("rknnd: open sharded %s: shard %d: %w", dir, i, err)
 		}
-		d.durables[i] = ds
-		d.recovery[i] = ds.Recovery()
-		spans[i] = ds.IDSpan()
+		ds.durables[i], ds.recovery[i] = de, info
+		spans[i] = de.eng.IDSpan()
 		total += spans[i]
 		if proto == nil {
-			proto = ds.Searcher
-		} else if err := sameEngineConfig(proto, ds.Searcher); err != nil {
-			d.closeStores()
+			proto = de.eng
+		} else if err := sameEngineConfig(proto, de.eng); err != nil {
+			ds.closeStores()
 			return nil, fmt.Errorf("rknnd: open sharded %s: shard %d: %w", dir, i, err)
 		}
 	}
 	if proto == nil {
-		d.closeStores()
+		ds.closeStores()
 		return nil, fmt.Errorf("rknnd: open sharded %s: no shard holds a readable snapshot: %w", dir, ErrNoStore)
 	}
 	m, err := index.RebuildShardMap(shards, total)
 	if err != nil {
-		d.closeStores()
+		ds.closeStores()
 		return nil, fmt.Errorf("rknnd: open sharded %s: %w", dir, err)
 	}
 	for i := 0; i < shards; i++ {
 		if m.ShardLen(i) != spans[i] {
-			d.closeStores()
+			ds.closeStores()
 			return nil, fmt.Errorf("rknnd: open sharded %s: shard %d holds %d ids, the global mapping over %d ids expects %d — the store is inconsistent (a shard store was lost or truncated, or an OS crash under a relaxed -wal-sync policy lost log tails unevenly across shards; restore the affected shard from backup)",
 				dir, i, spans[i], total, m.ShardLen(i))
 		}
 	}
 
-	ss := &ShardedSearcher{
-		frontEnd: &frontEnd{
-			set:     d,
-			metric:  proto.snap.Load().ix.Metric(),
-			dim:     proto.Dim(),
-			scale:   proto.scale,
-			backend: proto.backend,
-		},
-		plus:     proto.plus,
-		adaptive: proto.adaptive,
-		margin:   proto.margin,
-		slots:    make([]*shardSlot, shards),
-	}
-	for i := range ss.slots {
-		ss.slots[i] = &shardSlot{}
-		if ds := d.durables[i]; ds != nil {
-			if !ss.dynamic {
-				_, ss.dynamic = ds.snap.Load().ix.(index.Cloner)
+	ix := proto.snap.Load().ix
+	ls := &localSet{engineConfig: proto.engineConfig, metric: ix.Metric(), slots: make([]atomic.Pointer[engine], shards)}
+	dynamic := false
+	for i, de := range ds.durables {
+		if de != nil {
+			if !dynamic {
+				_, dynamic = de.eng.snap.Load().ix.(index.Cloner)
 			}
-			ss.slots[i].eng.Store(ds.Searcher)
+			ls.slots[i].Store(de.eng)
 		}
 	}
-	ss.smap.Store(m)
-	d.ShardedSearcher = ss
-	return d, nil
+	ss := &ShardedSearcher{frontEnd: newFrontEnd(ls, ix.Dim(), true, dynamic, m), localSet: ls}
+	ds.fe, ds.loc = ss.frontEnd, ls
+	ss.set = ds
+	return &DurableShardedSearcher{ShardedSearcher: ss, durableSet: ds}, nil
 }
 
 // sameEngineConfig verifies that two recovered shard engines carry the
 // same engine configuration; shards of one store must be interchangeable.
-func sameEngineConfig(a, b *Searcher) error {
+func sameEngineConfig(a, b *engine) error {
 	if a.scale != b.scale || a.plus != b.plus || a.adaptive != b.adaptive || a.margin != b.margin || a.backend != b.backend {
 		return fmt.Errorf("shard engine configuration mismatch (scale %v/%v, backend %s/%s)", a.scale, b.scale, a.backend, b.backend)
 	}
-	if a.Dim() != b.Dim() {
-		return fmt.Errorf("shard dimension mismatch: %d vs %d", a.Dim(), b.Dim())
+	ax, bx := a.snap.Load().ix, b.snap.Load().ix
+	if ax.Dim() != bx.Dim() {
+		return fmt.Errorf("shard dimension mismatch: %d vs %d", ax.Dim(), bx.Dim())
 	}
 	// Distances computed under different metrics must never be merged: a
 	// shard restored from the wrong store would silently corrupt every
 	// query, so compare the persisted metric identities too.
-	aID, aParam, errA := vecmath.IdentifyMetric(a.snap.Load().ix.Metric())
-	bID, bParam, errB := vecmath.IdentifyMetric(b.snap.Load().ix.Metric())
+	aID, aParam, errA := vecmath.IdentifyMetric(ax.Metric())
+	bID, bParam, errB := vecmath.IdentifyMetric(bx.Metric())
 	if errA != nil || errB != nil || aID != bID || aParam != bParam {
 		return fmt.Errorf("shard metric mismatch (%d(%v) vs %d(%v))", aID, aParam, bID, bParam)
 	}
 	return nil
 }
 
-func (d *DurableShardedSearcher) closeStores() {
-	for _, ds := range d.durables {
-		if ds != nil {
-			ds.Close()
+// Recovery returns what OpenSharded found on disk, indexed by shard
+// (zero-valued entries for shards with no store).
+func (d *DurableShardedSearcher) Recovery() []RecoveryInfo {
+	out := make([]RecoveryInfo, len(d.recovery))
+	copy(out, d.recovery)
+	return out
+}
+
+// Generations returns the per-shard store generations (0 for shards with
+// no store).
+func (d *DurableShardedSearcher) Generations() []uint64 {
+	out := make([]uint64, len(d.durables))
+	for i, de := range d.durables {
+		if de != nil {
+			out[i] = de.gen.Load()
+		}
+	}
+	return out
+}
+
+// durableSet is the shardSet over in-process engines bound to their
+// stores: the one store of a DurableSearcher, or the per-shard stores of a
+// DurableShardedSearcher. Reads pin the engines as localSet does; writes
+// go through each shard's durableEngine, which logs them before
+// acknowledging.
+type durableSet struct {
+	fe  *frontEnd
+	loc *localSet
+
+	dir      string // sharded store root, where new shards get their stores
+	walOpts  []StoreOption
+	durables []*durableEngine // indexed by shard; nil until first point
+	recovery []RecoveryInfo   // indexed by shard; zero-valued when absent
+	closed   bool             // guarded by fe.mu
+}
+
+func newDurableSet(fe *frontEnd, ls *localSet, dir string, opts []StoreOption) *durableSet {
+	d := &durableSet{fe: fe, loc: ls, dir: dir, walOpts: opts}
+	if ls != nil {
+		d.durables = make([]*durableEngine, len(ls.slots))
+		d.recovery = make([]RecoveryInfo, len(ls.slots))
+	}
+	return d
+}
+
+func (d *durableSet) closeStores() {
+	for _, de := range d.durables {
+		if de != nil {
+			de.close()
 		}
 	}
 }
+
+// pin implements shardSet: reads are the in-process engines'.
+func (d *durableSet) pin() []shardClient { return d.loc.pin() }
 
 // writer implements shardSet: the shard's writes go through its store,
 // which must still accept them — a closed or disabled store refuses the
 // write before any global ID is assigned, so it tears nothing.
-func (d *DurableShardedSearcher) writer(s int) (shardClient, error) {
+func (d *durableSet) writer(s int) (shardClient, error) {
 	if d.closed {
 		return nil, errClosed
 	}
-	if ds := d.durables[s]; ds != nil {
-		ds.wmu.Lock()
-		err := ds.usable()
-		ds.wmu.Unlock()
+	if de := d.durables[s]; de != nil {
+		de.wmu.Lock()
+		err := de.usable()
+		de.wmu.Unlock()
 		if err != nil {
-			return nil, fmt.Errorf("rknnd: shard %d: %w", s, err)
+			return nil, d.fe.shardErr("shard", s, err)
 		}
 	}
-	return durableShard{localShard: localShard{ss: d.ShardedSearcher, shard: s}, d: d}, nil
+	return durableShard{localShard: localShard{ls: d.loc, shard: s}, d: d}, nil
 }
 
-// durableShard is the write client of one shard of a DurableShardedSearcher:
-// every write runs through the shard's DurableSearcher, which logs it
-// before acknowledging. A log failure disables that shard's store, but the
-// write was applied in memory, so the global ID assignment stands.
+// Generation returns the current snapshot generation of the store — on a
+// sharded store the lowest across the populated shard stores ("every
+// shard is durable at least to generation g"; Generations has the
+// per-shard detail). It is lock-free, so monitoring endpoints never wait
+// behind a snapshot cut.
+func (d *durableSet) Generation() uint64 {
+	var min uint64
+	for _, de := range d.durables {
+		if de == nil {
+			continue
+		}
+		if g := de.gen.Load(); min == 0 || g < min {
+			min = g
+		}
+	}
+	return min
+}
+
+// Snapshot cuts a new snapshot generation reflecting all acknowledged
+// writes in every populated store — each written to a temporary file and
+// renamed into place, so a crash mid-cut preserves the previous
+// generation — then truncates the logs. It holds the write lock, so the
+// cuts reflect one consistent prefix of the acknowledged writes; queries
+// are never blocked.
+func (d *durableSet) Snapshot() error {
+	d.fe.mu.Lock()
+	defer d.fe.mu.Unlock()
+	if d.closed {
+		return errClosed
+	}
+	for i, de := range d.durables {
+		if de == nil {
+			continue
+		}
+		if err := de.snapshot(); err != nil {
+			return d.fe.shardErr("shard", i, err)
+		}
+	}
+	return nil
+}
+
+// Close syncs and closes every log. Further mutations fail; queries keep
+// working against the in-memory state.
+func (d *durableSet) Close() error {
+	d.fe.mu.Lock()
+	defer d.fe.mu.Unlock()
+	if d.closed {
+		return nil
+	}
+	d.closed = true
+	var first error
+	for _, de := range d.durables {
+		if de == nil {
+			continue
+		}
+		if err := de.close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// durableShard is the write client of one shard of a durableSet: every
+// write runs through the shard's durableEngine, which logs it before
+// acknowledging. A log failure disables that shard's store, but the write
+// was applied in memory, so the ID assignment stands.
 type durableShard struct {
 	localShard
-	d *DurableShardedSearcher
+	d *durableSet
 }
 
 func (w durableShard) Insert(ctx context.Context, p []float64) (int, bool, error) {
-	ds := w.d.durables[w.shard]
-	if ds == nil {
+	de := w.d.durables[w.shard]
+	if de == nil {
 		_, err := w.create([][]float64{p})
 		return 0, err == nil, err
 	}
-	return ds.insert(ctx, p)
+	return de.insert(ctx, p)
 }
 
 // InsertBatch logs one shard's group of a batch as a single WAL append (at
@@ -332,20 +417,20 @@ func (w durableShard) Insert(ctx context.Context, p []float64) (int, bool, error
 // shards' groups can tear a multi-shard batch across logs; recovery then
 // refuses to open (the ID-span cross-check) rather than renumber survivors.
 func (w durableShard) InsertBatch(ctx context.Context, pts [][]float64) ([]int, bool, error) {
-	ds := w.d.durables[w.shard]
-	if ds == nil {
+	de := w.d.durables[w.shard]
+	if de == nil {
 		ids, err := w.create(pts)
 		return ids, err == nil, err
 	}
-	return ds.insertBatch(ctx, pts)
+	return de.insertBatch(ctx, pts)
 }
 
 func (w durableShard) Delete(ctx context.Context, local int) (bool, error) {
-	ds := w.d.durables[w.shard]
-	if ds == nil {
+	de := w.d.durables[w.shard]
+	if de == nil {
 		return false, nil
 	}
-	return ds.DeleteContext(ctx, local)
+	return de.delete(ctx, local)
 }
 
 // create populates a previously empty shard: a fresh engine and a fresh
@@ -360,100 +445,22 @@ func (w durableShard) create(pts [][]float64) ([]int, error) {
 	// cross-check relies on. Syncing every sibling log first keeps the
 	// durable state a prefix of the acknowledged writes. (The front end's
 	// write lock is held, so no append races these syncs.)
-	for i, ds := range w.d.durables {
-		if ds == nil || ds.store == nil {
+	for i, de := range w.d.durables {
+		if de == nil || de.store == nil {
 			continue
 		}
-		if err := ds.store.Sync(); err != nil {
+		if err := de.store.Sync(); err != nil {
 			return nil, fmt.Errorf("rknnd: shard %d: syncing log before creating shard %d: %w", i, w.shard, err)
 		}
 	}
-	eng, err := w.ss.buildShardEngine(w.shard, pts)
+	eng, err := w.ls.build(w.shard, pts)
 	if err != nil {
 		return nil, err
 	}
-	ds, err := NewDurable(shardDirName(w.d.dir, w.shard), eng, w.d.walOpts...)
+	de, err := createEngine(shardDirName(w.d.dir, w.shard), eng, w.d.walOpts)
 	if err != nil {
 		return nil, fmt.Errorf("rknnd: shard %d: %w", w.shard, err)
 	}
-	w.d.durables[w.shard] = ds
-	w.d.recovery[w.shard] = RecoveryInfo{Generation: 1}
-	return w.publish(eng, len(pts)), nil
-}
-
-// Recovery returns what OpenSharded found on disk, indexed by shard
-// (zero-valued entries for shards with no store).
-func (d *DurableShardedSearcher) Recovery() []RecoveryInfo {
-	out := make([]RecoveryInfo, len(d.recovery))
-	copy(out, d.recovery)
-	return out
-}
-
-// Generation returns the lowest snapshot generation across the populated
-// shard stores — "every shard is durable at least to generation g". The
-// per-shard detail is available from Generations.
-func (d *DurableShardedSearcher) Generation() uint64 {
-	var min uint64
-	for _, ds := range d.durables {
-		if ds == nil {
-			continue
-		}
-		if g := ds.Generation(); min == 0 || g < min {
-			min = g
-		}
-	}
-	return min
-}
-
-// Generations returns the per-shard store generations (0 for shards with
-// no store).
-func (d *DurableShardedSearcher) Generations() []uint64 {
-	out := make([]uint64, len(d.durables))
-	for i, ds := range d.durables {
-		if ds != nil {
-			out[i] = ds.Generation()
-		}
-	}
-	return out
-}
-
-// Snapshot cuts a new snapshot generation in every populated shard store.
-// It holds the engine's update lock, so the set of cuts reflects one
-// consistent prefix of the acknowledged writes.
-func (d *DurableShardedSearcher) Snapshot() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errClosed
-	}
-	for i, ds := range d.durables {
-		if ds == nil {
-			continue
-		}
-		if err := ds.Snapshot(); err != nil {
-			return fmt.Errorf("rknnd: shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Close syncs and closes every shard log. Further mutations fail; queries
-// keep working against the in-memory state.
-func (d *DurableShardedSearcher) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil
-	}
-	d.closed = true
-	var first error
-	for _, ds := range d.durables {
-		if ds == nil {
-			continue
-		}
-		if err := ds.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	w.d.durables[w.shard], w.d.recovery[w.shard] = de, RecoveryInfo{Generation: 1}
+	return w.ls.publish(w.shard, eng, len(pts)), nil
 }

@@ -35,8 +35,8 @@ type KNNQuery struct {
 // member excluded. All probes see the same generation of the index, which
 // is what makes a remote verification pass sound: the kNN bound of every
 // candidate is computed over one consistent shard view.
-func (s *Searcher) KNNSkipBatch(qs []KNNQuery) ([][]Neighbor, error) {
-	sn := s.snap.Load()
+func (eng *engine) KNNSkipBatch(qs []KNNQuery) ([][]Neighbor, error) {
+	sn := eng.snap.Load()
 	m := sn.ix.Metric()
 	dim := sn.ix.Dim()
 	out := make([][]Neighbor, len(qs))
@@ -69,8 +69,8 @@ func (s *Searcher) KNNSkipBatch(qs []KNNQuery) ([][]Neighbor, error) {
 // of range, or an insert still in flight. Unlike Point, it never panics —
 // it is the remote-safe form a daemon can expose to untrusted IDs. The
 // returned rows are owned by the engine and must not be modified.
-func (s *Searcher) MemberPoints(ids ...int) [][]float64 {
-	ix := s.snap.Load().ix
+func (eng *engine) MemberPoints(ids ...int) [][]float64 {
+	ix := eng.snap.Load().ix
 	rows := make([][]float64, len(ids))
 	for i, id := range ids {
 		rows[i] = livePoint(ix, id)
@@ -82,8 +82,8 @@ func (s *Searcher) MemberPoints(ids ...int) [][]float64 {
 // tombstones — the quantity a coordinator needs to rebuild the global
 // shard map, since hash placement is a pure function of assignment order,
 // not of liveness.
-func (s *Searcher) IDSpan() int {
-	ix := s.snap.Load().ix
+func (eng *engine) IDSpan() int {
+	ix := eng.snap.Load().ix
 	if lv, ok := ix.(index.Liveness); ok {
 		return lv.IDSpan()
 	}
@@ -94,8 +94,8 @@ func (s *Searcher) IDSpan() int {
 // engine's distance metric — the comparable form behind the coordinator's
 // cross-shard configuration check, mirroring what OpenSharded verifies
 // across on-disk shard stores.
-func (s *Searcher) MetricIdentity() (uint8, float64, error) {
-	id, param, err := vecmath.IdentifyMetric(s.snap.Load().ix.Metric())
+func (eng *engine) MetricIdentity() (uint8, float64, error) {
+	id, param, err := vecmath.IdentifyMetric(eng.snap.Load().ix.Metric())
 	return uint8(id), param, err
 }
 

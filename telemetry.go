@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -12,8 +13,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the engine's observability face: an optional binding of a
-// Searcher or ShardedSearcher to an internal/telemetry Registry, feeding
+// This file is the engine's observability face: an optional binding of the
+// front end (any in-process engine) to an internal/telemetry Registry, feeding
 // every query's core.Stats into aggregate counters. The paper's central
 // claim — dimensional testing settles most candidates without verification
 // — becomes a live time series here: rknn_candidates_*_total track the
@@ -255,7 +256,7 @@ type shardTelemetry struct {
 	verified    *telemetry.Counter
 }
 
-func newShardTelemetry(reg *telemetry.Registry, shard int, slot *shardSlot) *shardTelemetry {
+func newShardTelemetry(reg *telemetry.Registry, shard int, slot *atomic.Pointer[engine]) *shardTelemetry {
 	label := strconv.Itoa(shard)
 	st := &shardTelemetry{
 		scatter: reg.CounterVec("rknn_shard_scatter_queries_total",
@@ -272,7 +273,7 @@ func newShardTelemetry(reg *telemetry.Registry, shard int, slot *shardSlot) *sha
 	reg.GaugeFunc("rknn_shard_points",
 		"Live points currently held by this shard.",
 		func() float64 {
-			if eng := slot.eng.Load(); eng != nil {
+			if eng := slot.Load(); eng != nil {
 				return float64(eng.Len())
 			}
 			return 0
@@ -498,39 +499,21 @@ func (t *engineTelemetry) engineWindowStats(now time.Time) map[string]EngineWind
 // QueryWindowStats reports the per-operation windowed latency digests
 // (op -> "1m"/"5m" -> stats) when telemetry is enabled; nil otherwise.
 // The server surfaces these in /statsz next to the lifetime quantiles.
-func (s *Searcher) QueryWindowStats() map[string]map[string]telemetry.WindowStats {
-	return s.tel.Load().queryWindowStats(time.Now())
+func (e *frontEnd) QueryWindowStats() map[string]map[string]telemetry.WindowStats {
+	return e.tel.Load().queryWindowStats(time.Now())
 }
 
 // EngineWindowStats reports the windowed pruning/recall digests
 // ("1m"/"5m" -> window) when telemetry is enabled; nil otherwise.
-func (s *Searcher) EngineWindowStats() map[string]EngineWindow {
-	return s.tel.Load().engineWindowStats(time.Now())
+func (e *frontEnd) EngineWindowStats() map[string]EngineWindow {
+	return e.tel.Load().engineWindowStats(time.Now())
 }
 
 // WorkloadTopK reports the hottest query-region signatures tracked by the
 // analytics sketch, each with its latency digest over the given window.
 // Nil without telemetry.
-func (s *Searcher) WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat {
-	if t := s.tel.Load(); t != nil {
-		return t.workload.TopK(k, window)
-	}
-	return nil
-}
-
-// QueryWindowStats is the sharded form of Searcher.QueryWindowStats.
-func (ss *ShardedSearcher) QueryWindowStats() map[string]map[string]telemetry.WindowStats {
-	return ss.tel.Load().queryWindowStats(time.Now())
-}
-
-// EngineWindowStats is the sharded form of Searcher.EngineWindowStats.
-func (ss *ShardedSearcher) EngineWindowStats() map[string]EngineWindow {
-	return ss.tel.Load().engineWindowStats(time.Now())
-}
-
-// WorkloadTopK is the sharded form of Searcher.WorkloadTopK.
-func (ss *ShardedSearcher) WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat {
-	if t := ss.tel.Load(); t != nil {
+func (e *frontEnd) WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat {
+	if t := e.tel.Load(); t != nil {
 		return t.workload.TopK(k, window)
 	}
 	return nil
@@ -545,33 +528,58 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *config) { c.reg = reg }
 }
 
-// EnableTelemetry binds the Searcher to reg after construction — the hook
+// EnableTelemetry binds the engine to reg after construction — the hook
 // for engines that do not pass through New, such as recovery paths (Load,
 // Open). Safe to call while queries are in flight; queries started before
-// the call are not recorded. Approximate back-ends additionally register
-// the scrape-time rknn_recall_estimate gauge (sampled oracle cross-check,
-// cached per snapshot and recomputed at most once per
-// recallRecomputeInterval under continuous writes; -1 when an estimate
-// fails).
-func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
-	t := newEngineTelemetry(reg, string(s.backend), s.Approximate())
-	t.grid = newQueryGrid(s.snap.Load().ix)
+// the call are not recorded.
+//
+// A sharded engine also registers per-shard scatter counters and live
+// shard size gauges, and its shards (current and future) share one
+// compaction-duration histogram. An unsharded approximate engine
+// (BackendLSH) additionally registers the scrape-time rknn_recall_estimate
+// gauge (sampled oracle cross-check, cached per snapshot and recomputed at
+// most once per recallRecomputeInterval under continuous writes; -1 when
+// an estimate fails); the gauge is a single-engine surface, since its
+// oracle reads one snapshot, not a scatter set.
+func (e *frontEnd) EnableTelemetry(reg *telemetry.Registry) {
+	ls, backend := e.loc, string(e.backend)
+	if e.sharded {
+		sts := make([]*shardTelemetry, len(ls.slots))
+		for i := range sts {
+			sts[i] = newShardTelemetry(reg, i, &ls.slots[i])
+		}
+		e.shardTel.Store(&sts)
+	}
+	recall := e.Approximate() && !e.sharded
+	t := newEngineTelemetry(reg, backend, e.Approximate())
+	// Calibrate the workload grid from the first populated shard: shards
+	// partition by hash, so any one shard's sample spans the dataset.
+	engines := ls.engines()
+	for _, eng := range engines {
+		if t.grid = newQueryGrid(eng.snap.Load().ix); t.grid != nil {
+			break
+		}
+	}
 	t.workload = telemetry.NewWorkload(0)
-	if s.Approximate() {
+	if recall {
 		t.recallWin = telemetry.NewDefaultWindowed(telemetry.NewHistogram(recallBuckets))
 	}
-	s.tel.Store(t)
-	registerWriteGauges(reg, string(s.backend), s.MemtableLen, s.Compactions)
-	if s.quant {
-		registerQuantCounters(reg, string(s.backend), s.QuantFilterStats)
+	e.tel.Store(t)
+	registerWriteGauges(reg, backend, ls.MemtableLen, ls.Compactions)
+	if ls.quant {
+		registerQuantCounters(reg, backend, ls.QuantFilterStats)
 	}
-	s.compactHist.Store(compactionHistogram(reg, string(s.backend)))
-	if s.Approximate() {
-		cache := &recallCache{}
+	h := compactionHistogram(reg, backend)
+	ls.compactHist.Store(h)
+	for _, eng := range engines {
+		eng.compactHist.Store(h)
+	}
+	if recall {
+		cache, eng := &recallCache{}, engines[0]
 		reg.GaugeFunc("rknn_recall_estimate",
 			"Sampled reverse-neighbor recall of the approximate engine against the exact oracle (per-snapshot cached, rate-limited, background-refreshed on large datasets; -1 on failure or before the first estimate).",
 			func() float64 {
-				v := cache.estimate(s)
+				v := cache.estimate(eng)
 				if v >= 0 {
 					// Scrape-time path: one clock read per estimate is fine
 					// here, and it keeps the windowed recall in
@@ -581,48 +589,7 @@ func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 				}
 				return v
 			},
-			telemetry.Label{Name: "backend", Value: string(s.backend)})
-	}
-}
-
-// EnableTelemetry binds the ShardedSearcher to reg: engine-level metrics
-// plus per-shard scatter counters and live shard size gauges. Like the
-// Searcher form, it is safe to call while queries are in flight. An
-// approximate sharded engine records rknn_approx_candidates_total; the
-// recall gauge is a single-engine surface (its oracle reads one snapshot,
-// not a scatter set).
-func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {
-	sts := make([]*shardTelemetry, len(ss.slots))
-	for i := range sts {
-		sts[i] = newShardTelemetry(reg, i, ss.slots[i])
-	}
-	ss.shardTel.Store(&sts)
-	t := newEngineTelemetry(reg, string(ss.backend), ss.Approximate())
-	// Calibrate the workload grid from the first populated shard: shards
-	// partition by hash, so any one shard's sample spans the dataset.
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			if g := newQueryGrid(eng.snap.Load().ix); g != nil {
-				t.grid = g
-				break
-			}
-		}
-	}
-	t.workload = telemetry.NewWorkload(0)
-	ss.tel.Store(t)
-	registerWriteGauges(reg, string(ss.backend), ss.MemtableLen, ss.Compactions)
-	if ss.quant {
-		registerQuantCounters(reg, string(ss.backend), ss.QuantFilterStats)
-	}
-	// Every shard engine (current and future — see newShardEngine) shares
-	// one per-backend histogram, so the compaction-duration series sums
-	// across shards.
-	h := compactionHistogram(reg, string(ss.backend))
-	ss.compactHist.Store(h)
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			eng.compactHist.Store(h)
-		}
+			telemetry.Label{Name: "backend", Value: backend})
 	}
 }
 
