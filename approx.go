@@ -87,12 +87,7 @@ func (eng *engine) recallOverSnapshot(sn *snapshot, samples, k int) (float64, er
 // until the dataset changes. Probing past a tombstone run never revisits an
 // already-sampled ID, so no query is double-weighted.
 func sampleLiveIDs(ix index.Index, samples int) []int {
-	span := ix.Len()
-	live := func(int) bool { return true }
-	if lv, ok := ix.(index.Liveness); ok {
-		span = lv.IDSpan()
-		live = lv.Live
-	}
+	span, live := liveSpan(ix)
 	if span == 0 {
 		return nil
 	}
@@ -118,6 +113,15 @@ func sampleLiveIDs(ix index.Index, samples int) []int {
 	return ids
 }
 
+// liveSpan returns ix's ID span and its liveness test; without tombstones
+// (no index.Liveness) every ID below Len is live.
+func liveSpan(ix index.Index) (int, func(int) bool) {
+	if lv, ok := ix.(index.Liveness); ok {
+		return lv.IDSpan(), lv.Live
+	}
+	return ix.Len(), func(int) bool { return true }
+}
+
 // exactMemberRkNN computes RkNN(qid, k) over the index by brute force:
 // x is a reverse neighbor of q iff fewer than k other points lie strictly
 // closer to x than q does (equivalently d_k(x) >= d(q,x), the refinement
@@ -128,12 +132,7 @@ func sampleLiveIDs(ix index.Index, samples int) []int {
 func exactMemberRkNN(ix index.Index, qid, k int) []int {
 	metric := ix.Metric()
 	q := ix.Point(qid)
-	span := ix.Len()
-	live := func(int) bool { return true }
-	if lv, ok := ix.(index.Liveness); ok {
-		span = lv.IDSpan()
-		live = lv.Live
-	}
+	span, live := liveSpan(ix)
 	var out []int
 	for x := 0; x < span; x++ {
 		if x == qid || !live(x) {

@@ -729,9 +729,12 @@ func (scalarEuclidean) Metricity() bool { return true }
 // latency against the scalar interface path, and end-to-end engine
 // throughput in three configurations — interface-dispatched scalar loops
 // (the pre-kernel engine), type-switched kernels, and kernels plus the
-// quantized candidate pre-filter. The measured knn/rknn multiples land in
-// the "kernels" section of BENCH_core.json. CI runs it as a 1-iteration
-// smoke (-benchtime 1x).
+// quantized candidate pre-filter. The measured multiples land in the
+// "kernels" section of BENCH_core.json, each credited to the layer that
+// earned it: {knn,rknn}_kernel_multiple is kernels over scalar,
+// {knn,rknn}_filter_multiple is kernels+filter over kernels, and the
+// older {knn,rknn}_multiple (kernels+filter over scalar) is their
+// product. CI runs it as a 1-iteration smoke (-benchtime 1x).
 func BenchmarkKernels(b *testing.B) {
 	// One-vs-one: 64-dim vectors, scalar interface call vs direct kernel.
 	dim := 64
@@ -814,6 +817,12 @@ func BenchmarkKernels(b *testing.B) {
 			"queries_per_second": qps,
 			"knn_multiple":       qps["knn_kernels+filter"] / qps["knn_scalar"],
 			"rknn_multiple":      qps["rknn_kernels+filter"] / qps["rknn_scalar"],
+			// The same gain split by layer: kernels alone, then the filter
+			// on top of the kernels.
+			"knn_kernel_multiple":  qps["knn_kernels"] / qps["knn_scalar"],
+			"rknn_kernel_multiple": qps["rknn_kernels"] / qps["rknn_scalar"],
+			"knn_filter_multiple":  qps["knn_kernels+filter"] / qps["knn_kernels"],
+			"rknn_filter_multiple": qps["rknn_kernels+filter"] / qps["rknn_kernels"],
 		}
 		mergeBenchJSON(b, "BENCH_core.json", "kernels", payload)
 	}

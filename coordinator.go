@@ -44,9 +44,12 @@ import (
 //
 // Coordinator implements the server Engine surface, so `rknn coordinate`
 // serves the same /v1 API (and the same response bytes) as a single
-// process serving the whole dataset.
+// process serving the whole dataset. Its query and write entry points are
+// the embedded front end's context-first methods; the in-process engines'
+// context-free twins and live telemetry surfaces (inProcess) are not part
+// of it.
 type Coordinator struct {
-	fe     frontEnd
+	*frontEnd
 	shards []*remoteShard
 	cc     *clusterClient
 	approx bool
@@ -197,7 +200,7 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 	}
 	// The daemons decide whether their back-end takes writes; the front
 	// end forwards every write and reports the daemon's refusal.
-	co.fe = frontEnd{
+	co.frontEnd = &frontEnd{
 		set:     co,
 		sharded: true,
 		metric:  metric,
@@ -222,7 +225,7 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 		}
 		co.shards[i].live.Store(int64(info.Points))
 	}
-	co.fe.smap.Store(m)
+	co.smap.Store(m)
 
 	if co.healthEvery > 0 {
 		co.healthActive = true
@@ -379,15 +382,6 @@ func (co *Coordinator) Len() int {
 	return int(n)
 }
 
-// Dim returns the dimensionality of the indexed points.
-func (co *Coordinator) Dim() int { return co.fe.Dim() }
-
-// Scale returns the scale parameter t in effect on every shard daemon.
-func (co *Coordinator) Scale() float64 { return co.fe.Scale() }
-
-// Backend returns the forward-index back-end the shard daemons run.
-func (co *Coordinator) Backend() Backend { return co.fe.Backend() }
-
 // Approximate reports whether the shard daemons answer approximately
 // (LSH back-end); see Searcher.Approximate.
 func (co *Coordinator) Approximate() bool { return co.approx }
@@ -402,67 +396,4 @@ func (co *Coordinator) ShardStats() []ShardInfo {
 		out[i] = ShardInfo{Shard: i, Points: int(sh.live.Load()), Queries: sh.queries.Load()}
 	}
 	return out
-}
-
-// ReverseKNN returns the global IDs of the dataset members that have
-// member qid among their k nearest neighbors; see ShardedSearcher.
-func (co *Coordinator) ReverseKNN(qid, k int) ([]int, error) {
-	return co.fe.ReverseKNN(qid, k)
-}
-
-// ReverseKNNContext is ReverseKNN with a context; spans and headers
-// propagate to the shard daemons on every hop.
-func (co *Coordinator) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
-	return co.fe.ReverseKNNContext(ctx, qid, k)
-}
-
-// ReverseKNNStatsContext is ReverseKNNContext with the aggregated
-// per-query work counters (summed across shard daemons).
-func (co *Coordinator) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
-	return co.fe.ReverseKNNStatsContext(ctx, qid, k)
-}
-
-// ReverseKNNPointContext answers the query for an arbitrary point.
-func (co *Coordinator) ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error) {
-	return co.fe.ReverseKNNPointContext(ctx, q, k)
-}
-
-// ReverseKNNPointStatsContext is ReverseKNNPointContext with counters.
-func (co *Coordinator) ReverseKNNPointStatsContext(ctx context.Context, q []float64, k int) ([]int, Stats, error) {
-	return co.fe.ReverseKNNPointStatsContext(ctx, q, k)
-}
-
-// BatchReverseKNNContext answers many member queries on a worker pool
-// against one read set, with ShardedSearcher's batch semantics.
-func (co *Coordinator) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
-	return co.fe.BatchReverseKNNContext(ctx, qids, k, workers)
-}
-
-// KNNContext returns the k global forward nearest neighbors of an
-// arbitrary point — the per-daemon top-k lists k-way merged.
-func (co *Coordinator) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	return co.fe.KNNContext(ctx, q, k)
-}
-
-// InsertContext routes the point to its hash-assigned shard's primary and
-// returns the new global ID; see ShardedSearcher.Insert. A daemon that
-// assigns a different local ID than the shard map predicts poisons the
-// write path (the cluster's history has diverged and further writes would
-// corrupt the ID space).
-func (co *Coordinator) InsertContext(ctx context.Context, p []float64) (int, error) {
-	return co.fe.InsertContext(ctx, p)
-}
-
-// InsertBatchContext ingests many points, each routed to its
-// hash-assigned shard, IDs returned in input order; see
-// ShardedSearcher.InsertBatch. A shard whose group fails poisons the write
-// path: a remote write that errored may or may not have landed.
-func (co *Coordinator) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
-	return co.fe.InsertBatchContext(ctx, points)
-}
-
-// DeleteContext tombstones a global ID on its shard's primary. Returns
-// false for IDs never assigned or already deleted.
-func (co *Coordinator) DeleteContext(ctx context.Context, id int) (bool, error) {
-	return co.fe.DeleteContext(ctx, id)
 }

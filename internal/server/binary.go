@@ -184,9 +184,9 @@ func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error
 	return writeJSON(w, http.StatusOK, info)
 }
 
-// handlePointGet resolves one member ID to its coordinates — the
-// remote-safe read behind the JSON framing's candidate fetch. Dead or
-// never-assigned IDs answer 404.
+// handlePointGet resolves one member ID to its coordinates through the
+// engine's remote-safe MemberPoints lookup (GET /v1/points/{id}, public
+// API). Dead or never-assigned IDs answer 404.
 func (srv *Server) handlePointGet(w http.ResponseWriter, r *http.Request) error {
 	sv, ok := srv.s.(ShardServing)
 	if !ok {

@@ -212,6 +212,15 @@ type storeConfig struct {
 	sync persist.SyncPolicy
 }
 
+// syncPolicy applies opts over the default sync policy.
+func syncPolicy(opts []StoreOption) persist.SyncPolicy {
+	cfg := storeConfig{sync: persist.DefaultSync()}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg.sync
+}
+
 // WithWALSync sets how often the write-ahead log fsyncs: every n-th
 // acknowledged write. n = 1 (the default) makes every acknowledged write
 // survive an OS crash; n = 0 never fsyncs (writes still reach the OS
@@ -277,12 +286,8 @@ func bindDurable(s *Searcher, de *durableEngine, info RecoveryInfo) *DurableSear
 
 // openEngine recovers one engine and its store from dir.
 func openEngine(dir string, opts []StoreOption) (*durableEngine, RecoveryInfo, error) {
-	cfg := storeConfig{sync: persist.DefaultSync()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
 	var records []persist.WALRecord
-	st, rec, info, err := persist.Open(dir, cfg.sync, func(r persist.WALRecord) error {
+	st, rec, info, err := persist.Open(dir, syncPolicy(opts), func(r persist.WALRecord) error {
 		records = append(records, r)
 		return nil
 	})
@@ -367,15 +372,11 @@ func NewDurable(dir string, s *Searcher, opts ...StoreOption) (*DurableSearcher,
 // createEngine binds eng to a fresh store in dir holding its current state
 // as generation 1.
 func createEngine(dir string, eng *engine, opts []StoreOption) (*durableEngine, error) {
-	cfg := storeConfig{sync: persist.DefaultSync()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
 	rec, err := eng.snapshotRecord()
 	if err != nil {
 		return nil, err
 	}
-	st, err := persist.Create(dir, rec, cfg.sync)
+	st, err := persist.Create(dir, rec, syncPolicy(opts))
 	if err != nil {
 		return nil, fmt.Errorf("rknnd: create store in %s: %w", dir, err)
 	}

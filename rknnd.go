@@ -19,6 +19,13 @@
 // pinned with WithScale or re-estimated with a different estimator via
 // WithAutoScale.
 //
+// Every engine type — Searcher, DurableSearcher, ShardedSearcher,
+// DurableShardedSearcher and the networked Coordinator — answers through
+// one front end (frontEnd, shard.go) over a set of shards; a Searcher is
+// the one-shard case, its single in-process engine (this file) holding
+// the whole dataset. See DESIGN.md, "Concurrency: copy-on-write
+// snapshots".
+//
 // The subpackages under internal/ contain the full research apparatus — the
 // competing methods (SFT, MRkNNCoP, RdNN-Tree, TPL), four interchangeable
 // forward-kNN back-ends, intrinsic-dimensionality estimators, and the
@@ -140,6 +147,52 @@ type config struct {
 	reg       *telemetry.Registry // nil: telemetry disabled
 }
 
+// newConfig applies opts over the defaults and rejects a nil metric.
+func newConfig(opts []Option) (config, error) {
+	cfg := config{metric: Euclidean, backend: BackendCoverTree, scale: math.NaN(), auto: EstimatorMLE}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	if cfg.metric == nil {
+		return cfg, errors.New("rknnd: nil metric")
+	}
+	return cfg, nil
+}
+
+// engineConfig resolves the query configuration the options describe:
+// adaptive, a pinned t, or — when neither — the t estimate returns.
+func (cfg config) engineConfig(estimate func() (float64, error)) (engineConfig, error) {
+	ec := engineConfig{scale: cfg.scale, plus: !cfg.plain, adaptive: cfg.adaptive, margin: cfg.margin,
+		backend: cfg.backend, compactAt: cfg.compactAt, quant: cfg.quant}
+	if cfg.adaptive {
+		if cfg.margin < 0 {
+			return ec, fmt.Errorf("rknnd: scale margin must be non-negative, got %v", cfg.margin)
+		}
+		ec.scale = 0
+		return ec, nil
+	}
+	if math.IsNaN(ec.scale) {
+		var err error
+		if ec.scale, err = estimate(); err != nil {
+			return ec, err
+		}
+	}
+	if !(ec.scale > 0) {
+		return ec, fmt.Errorf("rknnd: scale parameter must be positive, got %v", ec.scale)
+	}
+	return ec, nil
+}
+
+// scaleOn estimates t on ix, an exact index over points: the configured
+// estimator plus the margin, clamped to at least 1.
+func (cfg config) scaleOn(ix index.Index, points [][]float64) (float64, error) {
+	t, err := estimate(cfg.auto, ix, points, cfg.metric)
+	if err != nil {
+		return 0, fmt.Errorf("rknnd: estimating scale parameter: %w", err)
+	}
+	return math.Max(t+cfg.margin, 1), nil
+}
+
 // WithMetric selects the distance (default Euclidean).
 func WithMetric(m Metric) Option { return func(c *config) { c.metric = m } }
 
@@ -217,7 +270,7 @@ func WithAdaptiveScale() Option { return func(c *config) { c.adaptive = true } }
 // per-index surfaces: Save, the quantized filter, compaction, the recall
 // oracle and the shard-serving probes.
 type Searcher struct {
-	*frontEnd
+	inProcess
 	*engine
 }
 
@@ -309,17 +362,9 @@ func (sn *snapshot) querier(eng *engine, k int) (*core.Querier, error) {
 // New indexes points and returns a Searcher. The points slice is retained
 // by reference and must not be mutated afterwards.
 func New(points [][]float64, opts ...Option) (*Searcher, error) {
-	cfg := config{
-		metric:  Euclidean,
-		backend: BackendCoverTree,
-		scale:   math.NaN(),
-		auto:    EstimatorMLE,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.metric == nil {
-		return nil, errors.New("rknnd: nil metric")
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	ix, err := harness.BuildBackend(string(cfg.backend), points, cfg.metric)
 	if err != nil {
@@ -333,27 +378,15 @@ func New(points [][]float64, opts ...Option) (*Searcher, error) {
 	// Dynamic back-ends serve writes through a delta overlay: queries merge
 	// a small memtable with the immutable base, so Insert/Delete cost
 	// O(delta) instead of an O(n) backend clone. Static back-ends stay bare
-	// (their writes are rejected anyway).
+	// (their writes are rejected anyway). t is estimated on the index being
+	// served: no throwaway build.
 	ix = wrapOverlay(ix)
-	ec := engineConfig{plus: !cfg.plain, backend: cfg.backend, compactAt: cfg.compactAt, quant: cfg.quant}
-	if cfg.adaptive {
-		if cfg.margin < 0 {
-			return nil, fmt.Errorf("rknnd: scale margin must be non-negative, got %v", cfg.margin)
-		}
-		ec.adaptive, ec.margin = true, cfg.margin
-	} else {
-		// t is estimated on the index being served: no throwaway build.
-		ec.scale = cfg.scale
-		if math.IsNaN(ec.scale) {
-			ec.scale, err = estimate(cfg.auto, ix, points, cfg.metric)
-			if err != nil {
-				return nil, fmt.Errorf("rknnd: estimating scale parameter: %w", err)
-			}
-			ec.scale = math.Max(ec.scale+cfg.margin, 1)
-		}
-		if !(ec.scale > 0) {
-			return nil, fmt.Errorf("rknnd: scale parameter must be positive, got %v", ec.scale)
-		}
+	ec, err := cfg.engineConfig(func() (float64, error) { return cfg.scaleOn(ix, points) })
+	if err != nil {
+		return nil, err
+	}
+	if !ec.adaptive {
+		ec.margin = 0 // folded into t; a Searcher snapshot records it only when adaptive
 	}
 	s := newSearcher(newEngine(ec, ix))
 	if cfg.reg != nil {
@@ -371,7 +404,7 @@ func newSearcher(eng *engine) *Searcher {
 	ls.slots[0].Store(eng)
 	m, _ := index.RebuildShardMap(1, eng.IDSpan())
 	_, dynamic := ix.(index.Cloner)
-	return &Searcher{frontEnd: newFrontEnd(ls, ix.Dim(), false, dynamic, m), engine: eng}
+	return &Searcher{inProcess: inProcess{newFrontEnd(ls, ix.Dim(), false, dynamic, m)}, engine: eng}
 }
 
 // estimateCalls counts scale estimations; the persistence tests assert the

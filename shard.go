@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +59,7 @@ type ShardInfo struct {
 // The query and write entry points are the shared front end's (frontEnd);
 // ShardedSearcher supplies the in-process shards behind it (localSet).
 type ShardedSearcher struct {
-	*frontEnd
+	inProcess
 	*localSet
 }
 
@@ -73,36 +72,16 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 	if shards <= 0 {
 		return nil, fmt.Errorf("rknnd: shard count must be positive, got %d", shards)
 	}
-	cfg := config{
-		metric:  Euclidean,
-		backend: BackendCoverTree,
-		scale:   math.NaN(),
-		auto:    EstimatorMLE,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.metric == nil {
-		return nil, errors.New("rknnd: nil metric")
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	if err := vecmath.ValidateAllFor(cfg.metric, points); err != nil {
 		return nil, fmt.Errorf("rknnd: %w", err)
 	}
-
-	scale := cfg.scale
-	if cfg.adaptive {
-		if cfg.margin < 0 {
-			return nil, fmt.Errorf("rknnd: scale margin must be non-negative, got %v", cfg.margin)
-		}
-		scale = 0
-	} else if math.IsNaN(scale) {
-		var err error
-		if scale, err = cfg.fullScale(points); err != nil {
-			return nil, err
-		}
-	}
-	if !cfg.adaptive && !(scale > 0) {
-		return nil, fmt.Errorf("rknnd: scale parameter must be positive, got %v", scale)
+	ec, err := cfg.engineConfig(func() (float64, error) { return cfg.fullScale(points) })
+	if err != nil {
+		return nil, err
 	}
 
 	m, err := index.NewShardMap(shards)
@@ -115,19 +94,7 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 		parts[s] = append(parts[s], points[g])
 	}
 
-	ls := &localSet{
-		engineConfig: engineConfig{
-			scale:     scale,
-			plus:      !cfg.plain,
-			adaptive:  cfg.adaptive,
-			margin:    cfg.margin,
-			backend:   cfg.backend,
-			compactAt: cfg.compactAt,
-			quant:     cfg.quant,
-		},
-		metric: cfg.metric,
-		slots:  make([]atomic.Pointer[engine], shards),
-	}
+	ls := &localSet{engineConfig: ec, metric: cfg.metric, slots: make([]atomic.Pointer[engine], shards)}
 	dynamic := false
 	for s, part := range parts {
 		if len(part) == 0 {
@@ -147,7 +114,7 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 		}
 		ls.slots[s].Store(ls.newEngine(ix))
 	}
-	ss := &ShardedSearcher{frontEnd: newFrontEnd(ls, len(points[0]), true, dynamic, m), localSet: ls}
+	ss := &ShardedSearcher{inProcess: inProcess{newFrontEnd(ls, len(points[0]), true, dynamic, m)}, localSet: ls}
 	if cfg.reg != nil {
 		ss.EnableTelemetry(cfg.reg)
 	}
@@ -173,12 +140,8 @@ func (ss *ShardedSearcher) Point(global int) []float64 {
 		return nil // map-published, engine not yet: the in-flight window
 	}
 	ix := eng.snap.Load().ix
-	if lv, ok := ix.(index.Liveness); ok {
-		if l >= lv.IDSpan() {
-			return nil // same window: the engine snapshot trails the map
-		}
-	} else if l >= ix.Len() {
-		return nil
+	if span, _ := liveSpan(ix); l >= span {
+		return nil // same window: the engine snapshot trails the map
 	}
 	return ix.Point(l)
 }
@@ -397,6 +360,12 @@ type frontEnd struct {
 	shardTel atomic.Pointer[[]*shardTelemetry]
 }
 
+// inProcess is the front end as the in-process engines present it: the
+// context-free twins of its entry points and the live telemetry and
+// tracing surfaces, which a Coordinator (embedding frontEnd alone) does
+// not offer.
+type inProcess struct{ *frontEnd }
+
 // newFrontEnd returns the front end over the in-process set ls, publishing
 // the shard map m.
 func newFrontEnd(ls *localSet, dim int, sharded, dynamic bool, m *index.ShardMap) *frontEnd {
@@ -421,7 +390,7 @@ func (e *frontEnd) Dim() int { return e.dim }
 // (BackendLSH), so results are not guaranteed exact at any scale parameter.
 // The scatter-gather merge is exact relative to the per-shard candidate
 // sets, so a sharded engine's approximation is exactly its shards'.
-func (e *frontEnd) Approximate() bool { return e.backend == BackendLSH }
+func (e inProcess) Approximate() bool { return e.backend == BackendLSH }
 
 // scatter pins a read set: shard clients first, then the shard map (see
 // localSet.pin for why the order matters), plus the per-shard telemetry
@@ -477,7 +446,7 @@ func (e *frontEnd) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, er
 
 // ReverseKNNStats is ReverseKNN with the per-query work counters (on a
 // sharded engine summed across shards; Omega is the tightest shard bound).
-func (e *frontEnd) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
+func (e inProcess) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
 	return e.rknn(context.Background(), qid, nil, k, opRkNN)
 }
 
@@ -489,7 +458,7 @@ func (e *frontEnd) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]in
 
 // ReverseKNNPoint answers the query for an arbitrary point, which need not
 // be a dataset member.
-func (e *frontEnd) ReverseKNNPoint(q []float64, k int) ([]int, error) {
+func (e inProcess) ReverseKNNPoint(q []float64, k int) ([]int, error) {
 	ids, _, err := e.rknn(context.Background(), -1, q, k, opRkNNPoint)
 	return ids, err
 }
@@ -502,7 +471,7 @@ func (e *frontEnd) ReverseKNNPointContext(ctx context.Context, q []float64, k in
 }
 
 // ReverseKNNPointStats is ReverseKNNPoint with the per-query work counters.
-func (e *frontEnd) ReverseKNNPointStats(q []float64, k int) ([]int, Stats, error) {
+func (e inProcess) ReverseKNNPointStats(q []float64, k int) ([]int, Stats, error) {
 	return e.rknn(context.Background(), -1, q, k, opRkNNPoint)
 }
 
@@ -550,7 +519,7 @@ func (e *frontEnd) checkPoint(p []float64, what string) error {
 // similarity query, exposed because reverse-neighbor applications almost
 // always need it too. A sharded engine k-way merges the per-shard top-k
 // lists under the (distance, ID) order.
-func (e *frontEnd) KNN(q []float64, k int) ([]Neighbor, error) {
+func (e inProcess) KNN(q []float64, k int) ([]Neighbor, error) {
 	return e.KNNContext(context.Background(), q, k)
 }
 
@@ -595,7 +564,7 @@ func (e *frontEnd) KNNContext(ctx context.Context, q []float64, k int) ([]Neighb
 // length and at GOMAXPROCS) and returns the per-query ID lists in input
 // order. Every member runs; the first failed member in input order fails
 // the batch.
-func (e *frontEnd) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) {
+func (e inProcess) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) {
 	return e.BatchReverseKNNContext(context.Background(), qids, k, workers)
 }
 
@@ -685,7 +654,7 @@ func (e *frontEnd) poison(format string, args ...any) error {
 // completes). On a durable engine the write is logged before it is
 // acknowledged; a log failure returns an error and disables the store's
 // writes, while the applied point stays visible until restart.
-func (e *frontEnd) Insert(p []float64) (int, error) {
+func (e inProcess) Insert(p []float64) (int, error) {
 	return e.InsertContext(context.Background(), p)
 }
 
@@ -741,7 +710,7 @@ func (e *frontEnd) insert(ctx context.Context, p []float64) (int, error) {
 // Delete removes the dataset member with the given ID, reporting whether
 // it was present. Requires a dynamic back-end. The shard map keeps the ID
 // forever (tombstones live in the shard index), so IDs are never reused.
-func (e *frontEnd) Delete(global int) (bool, error) {
+func (e inProcess) Delete(global int) (bool, error) {
 	return e.DeleteContext(context.Background(), global)
 }
 
@@ -789,7 +758,7 @@ func (e *frontEnd) delete(ctx context.Context, global int) (bool, error) {
 // group was not applied — permanently poisons the write path rather than
 // let the shard map's local-ID accounting diverge from the shards (reads
 // stay correct; the orphaned IDs answer as not-found).
-func (e *frontEnd) InsertBatch(points [][]float64) ([]int, error) {
+func (e inProcess) InsertBatch(points [][]float64) ([]int, error) {
 	return e.InsertBatchContext(context.Background(), points)
 }
 

@@ -231,7 +231,7 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 			ls.slots[i].Store(de.eng)
 		}
 	}
-	ss := &ShardedSearcher{frontEnd: newFrontEnd(ls, ix.Dim(), true, dynamic, m), localSet: ls}
+	ss := &ShardedSearcher{inProcess: inProcess{newFrontEnd(ls, ix.Dim(), true, dynamic, m)}, localSet: ls}
 	ds.fe, ds.loc = ss.frontEnd, ls
 	ss.set = ds
 	return &DurableShardedSearcher{ShardedSearcher: ss, durableSet: ds}, nil

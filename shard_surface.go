@@ -1,12 +1,9 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/harness"
-	"repro/internal/index"
 	"repro/internal/vecmath"
 )
 
@@ -83,11 +80,8 @@ func (eng *engine) MemberPoints(ids ...int) [][]float64 {
 // shard map, since hash placement is a pure function of assignment order,
 // not of liveness.
 func (eng *engine) IDSpan() int {
-	ix := eng.snap.Load().ix
-	if lv, ok := ix.(index.Liveness); ok {
-		return lv.IDSpan()
-	}
-	return ix.Len()
+	span, _ := liveSpan(eng.snap.Load().ix)
+	return span
 }
 
 // MetricIdentity returns the registry identity (ID, parameter) of the
@@ -108,17 +102,9 @@ func (eng *engine) MetricIdentity() (uint8, float64, error) {
 // ShardedSearcher over the same dataset would use — a prerequisite for
 // byte-identical networked answers.
 func EstimateScale(points [][]float64, opts ...Option) (float64, error) {
-	cfg := config{
-		metric:  Euclidean,
-		backend: BackendCoverTree,
-		scale:   math.NaN(),
-		auto:    EstimatorMLE,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.metric == nil {
-		return 0, errors.New("rknnd: nil metric")
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return 0, err
 	}
 	if err := vecmath.ValidateAllFor(cfg.metric, points); err != nil {
 		return 0, fmt.Errorf("rknnd: %w", err)
@@ -135,13 +121,5 @@ func (cfg config) fullScale(points [][]float64) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("rknnd: %w", err)
 	}
-	t, err := estimate(cfg.auto, full, points, cfg.metric)
-	if err != nil {
-		return 0, fmt.Errorf("rknnd: estimating scale parameter: %w", err)
-	}
-	t += cfg.margin
-	if t < 1 {
-		t = 1
-	}
-	return t, nil
+	return cfg.scaleOn(full, points)
 }

@@ -499,20 +499,20 @@ func (t *engineTelemetry) engineWindowStats(now time.Time) map[string]EngineWind
 // QueryWindowStats reports the per-operation windowed latency digests
 // (op -> "1m"/"5m" -> stats) when telemetry is enabled; nil otherwise.
 // The server surfaces these in /statsz next to the lifetime quantiles.
-func (e *frontEnd) QueryWindowStats() map[string]map[string]telemetry.WindowStats {
+func (e inProcess) QueryWindowStats() map[string]map[string]telemetry.WindowStats {
 	return e.tel.Load().queryWindowStats(time.Now())
 }
 
 // EngineWindowStats reports the windowed pruning/recall digests
 // ("1m"/"5m" -> window) when telemetry is enabled; nil otherwise.
-func (e *frontEnd) EngineWindowStats() map[string]EngineWindow {
+func (e inProcess) EngineWindowStats() map[string]EngineWindow {
 	return e.tel.Load().engineWindowStats(time.Now())
 }
 
 // WorkloadTopK reports the hottest query-region signatures tracked by the
 // analytics sketch, each with its latency digest over the given window.
 // Nil without telemetry.
-func (e *frontEnd) WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat {
+func (e inProcess) WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat {
 	if t := e.tel.Load(); t != nil {
 		return t.workload.TopK(k, window)
 	}
@@ -541,7 +541,7 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 // most once per recallRecomputeInterval under continuous writes; -1 when
 // an estimate fails); the gauge is a single-engine surface, since its
 // oracle reads one snapshot, not a scatter set.
-func (e *frontEnd) EnableTelemetry(reg *telemetry.Registry) {
+func (e inProcess) EnableTelemetry(reg *telemetry.Registry) {
 	ls, backend := e.loc, string(e.backend)
 	if e.sharded {
 		sts := make([]*shardTelemetry, len(ls.slots))

@@ -8,7 +8,7 @@ import "repro/internal/trace"
 // Request traces are created and retained by the caller (the HTTP server);
 // the engine only adds spans to whatever trace the context carries, ring
 // or no ring. Safe to call at most once, before serving.
-func (e *frontEnd) EnableTracing(ring *trace.Ring) {
+func (e inProcess) EnableTracing(ring *trace.Ring) {
 	e.loc.traceRing.Store(ring)
 	for _, eng := range e.loc.engines() {
 		eng.traceRing.Store(ring)
