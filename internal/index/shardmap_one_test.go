@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// refShardMap is the generic per-ID mapping every shard count used before
-// the one-shard map stored only its length: the reference the O(1) form
-// must agree with.
+// refShardMap is the generic per-ID mapping, one entry per assigned ID for
+// any shard count: the reference the length-only one-shard map must agree
+// with.
 type refShardMap struct {
 	shardOf, localOf []int
 	globals          [][]int

@@ -150,13 +150,13 @@ func NewDurableSharded(dir string, ss *ShardedSearcher, opts ...StoreOption) (*D
 		}
 		de, err := createEngine(shardDirName(dir, i), eng, opts)
 		if err != nil {
-			ds.closeStores()
+			closeStores(ds.durables)
 			return nil, fmt.Errorf("rknnd: shard %d: %w", i, err)
 		}
 		ds.durables[i], ds.recovery[i] = de, RecoveryInfo{Generation: 1}
 	}
 	if err := writeShardManifest(dir, ss.Shards()); err != nil {
-		ds.closeStores()
+		closeStores(ds.durables)
 		return nil, fmt.Errorf("rknnd: commit sharded store manifest: %w", err)
 	}
 	ss.set = ds
@@ -177,9 +177,8 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 		}
 		return nil, err
 	}
-	ds := newDurableSet(nil, nil, dir, opts)
-	ds.durables = make([]*durableEngine, shards)
-	ds.recovery = make([]RecoveryInfo, shards)
+	durables := make([]*durableEngine, shards)
+	recovery := make([]RecoveryInfo, shards)
 	spans := make([]int, shards)
 	total := 0
 	var proto *engine
@@ -190,31 +189,31 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 		}
 		de, info, err := openEngine(sd, opts)
 		if err != nil {
-			ds.closeStores()
+			closeStores(durables)
 			return nil, fmt.Errorf("rknnd: open sharded %s: shard %d: %w", dir, i, err)
 		}
-		ds.durables[i], ds.recovery[i] = de, info
+		durables[i], recovery[i] = de, info
 		spans[i] = de.eng.IDSpan()
 		total += spans[i]
 		if proto == nil {
 			proto = de.eng
 		} else if err := sameEngineConfig(proto, de.eng); err != nil {
-			ds.closeStores()
+			closeStores(durables)
 			return nil, fmt.Errorf("rknnd: open sharded %s: shard %d: %w", dir, i, err)
 		}
 	}
 	if proto == nil {
-		ds.closeStores()
+		closeStores(durables)
 		return nil, fmt.Errorf("rknnd: open sharded %s: no shard holds a readable snapshot: %w", dir, ErrNoStore)
 	}
 	m, err := index.RebuildShardMap(shards, total)
 	if err != nil {
-		ds.closeStores()
+		closeStores(durables)
 		return nil, fmt.Errorf("rknnd: open sharded %s: %w", dir, err)
 	}
 	for i := 0; i < shards; i++ {
 		if m.ShardLen(i) != spans[i] {
-			ds.closeStores()
+			closeStores(durables)
 			return nil, fmt.Errorf("rknnd: open sharded %s: shard %d holds %d ids, the global mapping over %d ids expects %d — the store is inconsistent (a shard store was lost or truncated, or an OS crash under a relaxed -wal-sync policy lost log tails unevenly across shards; restore the affected shard from backup)",
 				dir, i, spans[i], total, m.ShardLen(i))
 		}
@@ -223,7 +222,7 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 	ix := proto.snap.Load().ix
 	ls := &localSet{engineConfig: proto.engineConfig, metric: ix.Metric(), slots: make([]atomic.Pointer[engine], shards)}
 	dynamic := false
-	for i, de := range ds.durables {
+	for i, de := range durables {
 		if de != nil {
 			if !dynamic {
 				_, dynamic = de.eng.snap.Load().ix.(index.Cloner)
@@ -232,7 +231,7 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 		}
 	}
 	ss := &ShardedSearcher{inProcess: inProcess{newFrontEnd(ls, ix.Dim(), true, dynamic, m)}, localSet: ls}
-	ds.fe, ds.loc = ss.frontEnd, ls
+	ds := &durableSet{fe: ss.frontEnd, loc: ls, dir: dir, walOpts: opts, durables: durables, recovery: recovery}
 	ss.set = ds
 	return &DurableShardedSearcher{ShardedSearcher: ss, durableSet: ds}, nil
 }
@@ -294,17 +293,16 @@ type durableSet struct {
 	closed   bool             // guarded by fe.mu
 }
 
+// newDurableSet returns a durable set over the engines of ls, none of them
+// bound to a store yet.
 func newDurableSet(fe *frontEnd, ls *localSet, dir string, opts []StoreOption) *durableSet {
-	d := &durableSet{fe: fe, loc: ls, dir: dir, walOpts: opts}
-	if ls != nil {
-		d.durables = make([]*durableEngine, len(ls.slots))
-		d.recovery = make([]RecoveryInfo, len(ls.slots))
-	}
-	return d
+	return &durableSet{fe: fe, loc: ls, dir: dir, walOpts: opts,
+		durables: make([]*durableEngine, len(ls.slots)), recovery: make([]RecoveryInfo, len(ls.slots))}
 }
 
-func (d *durableSet) closeStores() {
-	for _, de := range d.durables {
+// closeStores closes the opened stores of a construction that failed.
+func closeStores(durables []*durableEngine) {
+	for _, de := range durables {
 		if de != nil {
 			de.close()
 		}
