@@ -580,8 +580,12 @@ func (eng *engine) maybeCompact() {
 // compact folds the frozen overlay's delta into a fresh base clone — the
 // one O(n) step of the write path, performed off the write lock — then
 // rebases the current overlay (which may have accumulated further writes
-// meanwhile) onto the folded index and publishes it. Callers must hold
-// eng.fold, which compact releases, and must not hold eng.mu.
+// meanwhile) onto the folded index and publishes it. A frozen overlay
+// whose base is no longer the current one — loaded before a compaction
+// that finished since — is discarded: the current rows are not an
+// extension of its rows, and rebasing would drop the ones written since.
+// Callers must hold eng.fold, which compact releases, and must not hold
+// eng.mu.
 //
 // A compaction has no request context, so when tracing is enabled
 // (EnableTracing) each fold records itself as its own root trace
@@ -613,7 +617,7 @@ func (eng *engine) compact(frozen *index.Overlay) {
 		return
 	}
 	eng.mu.Lock()
-	if cur, ok := eng.snap.Load().ix.(*index.Overlay); ok {
+	if cur, ok := eng.snap.Load().ix.(*index.Overlay); ok && cur.Base() == frozen.Base() {
 		eng.snap.Store(&snapshot{ix: cur.Rebase(frozen, folded)})
 		eng.compactions.Add(1)
 	}
